@@ -2,7 +2,7 @@
 
 use crate::config::{Config, IntervalMode};
 use crate::float::ScalarFloat;
-use crate::kernel::ScanKernel;
+use crate::kernel::{Lane, RowPair, RowVisitor, ScanKernel};
 use crate::quant::{choose_interval_bits_counted, Quantizer};
 use crate::unpred::UnpredictableCodec;
 use crate::Result;
@@ -269,6 +269,9 @@ pub(crate) struct BandMeta {
 pub(crate) struct QuantBufs {
     pub codes: Vec<u32>,
     pub misses: Vec<u32>,
+    /// The lagging row's escape indices while a [`crate::kernel::RowPair`]
+    /// is in flight (`misses` holds the leading row's).
+    pub lag_misses: Vec<u32>,
     pub unpred: BitWriter,
 }
 
@@ -276,6 +279,7 @@ impl QuantBufs {
     pub fn reset(&mut self) {
         self.codes.clear();
         self.misses.clear();
+        self.lag_misses.clear();
         self.unpred.clear();
     }
 }
@@ -338,20 +342,14 @@ struct RowQuantizer<'a, T: ScalarFloat> {
     predictable: usize,
 }
 
-impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowQuantizer<'_, T> {
+impl<T: ScalarFloat> RowVisitor<T> for RowQuantizer<'_, T> {
     type Error = std::convert::Infallible;
 
     fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, Self::Error> {
         let value = self.values[flat];
-        let v64 = value.to_f64();
-        let quantized = self.quantizer.quantize(v64, pred).and_then(|(code, r64)| {
-            let r = T::from_f64(r64);
-            if (v64 - r.to_f64()).abs() <= self.eb {
-                Some((code, r))
-            } else {
-                None
-            }
-        });
+        let quantized = self
+            .quantizer
+            .quantize_narrowed(value.to_f64(), pred, self.eb);
         Ok(match quantized {
             Some((code, r)) => {
                 self.bufs.codes.push(code);
@@ -394,6 +392,56 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowQuantizer<'_, T> {
         self.bufs.misses.clear();
         Ok(())
     }
+
+    /// Both rows' chains interleaved. Codes land at their flat index in the
+    /// pre-extended code stream, and each row keeps its own miss list, so
+    /// the escape bits are still written in scan order: leading row, then
+    /// lagging row.
+    fn row_pair(&mut self, pair: RowPair<'_, T>) -> std::result::Result<(), Self::Error> {
+        let start = pair.start();
+        debug_assert_eq!(
+            self.bufs.codes.len(),
+            start,
+            "pair must start at the scan front"
+        );
+        self.bufs.codes.resize(pair.end(), 0);
+        let QuantBufs {
+            codes,
+            misses,
+            lag_misses,
+            unpred: bits,
+        } = &mut *self.bufs;
+        let (values, quantizer, eb, unpred) = (self.values, &self.quantizer, self.eb, &self.unpred);
+        let mut hits = 0usize;
+        let result: std::result::Result<(), Self::Error> = crate::simd::with_avx2(|| {
+            pair.fold(|lane, flat, pred| {
+                let value = values[flat];
+                match quantizer.quantize_narrowed(value.to_f64(), pred, eb) {
+                    Some((code, r)) => {
+                        codes[flat] = code;
+                        hits += 1;
+                        Ok(r)
+                    }
+                    None => {
+                        let list = match lane {
+                            Lane::Lead => &mut *misses,
+                            Lane::Lag => &mut *lag_misses,
+                        };
+                        list.push((flat - start) as u32);
+                        Ok(unpred.reconstruction(value))
+                    }
+                }
+            })
+        });
+        result?;
+        self.predictable += hits;
+        for &i in misses.iter().chain(lag_misses.iter()) {
+            unpred.encode(values[start + i as usize], bits);
+        }
+        misses.clear();
+        lag_misses.clear();
+        Ok(())
+    }
 }
 
 /// Checks `values`/`shape`/`kernel` agreement and resolves the effective
@@ -416,14 +464,7 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
     }
 
     // Resolve the relative bound against the actual value range (Metric 1).
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        let x = v.to_f64();
-        min = min.min(x);
-        max = max.max(x);
-    }
-    let range = if min > max { 0.0 } else { max - min };
-    Ok((range, config.bound.effective(range)))
+    config.bound.resolve(values)
 }
 
 /// [`resolve_range_eb`] plus the interval-bits choice (running the §IV-B

@@ -1,5 +1,6 @@
 //! Compression configuration: error bounds, layer count, interval mode.
 
+use crate::float::ScalarFloat;
 use crate::{Result, SzError};
 
 /// The user-facing error-bound specification (§II, Metric 1).
@@ -42,6 +43,34 @@ impl ErrorBound {
         }
     }
 
+    /// Resolves against `values`: returns `(range, eb)`, where `range` is
+    /// `max − min` over the finite values and `eb` is
+    /// [`ErrorBound::effective`] of it. Non-finite points escape losslessly,
+    /// so they take no part in the range.
+    ///
+    /// # Errors
+    /// [`SzError::InvalidInput`] when a range-dependent bound (relative or
+    /// both) meets data with no finite value, or whose finite range
+    /// overflows `f64` (values spanning ±`f64::MAX`).
+    pub fn resolve<T: ScalarFloat>(&self, values: &[T]) -> Result<(f64, f64)> {
+        let range = finite_range(values);
+        if !matches!(self, ErrorBound::Absolute(_)) {
+            match range {
+                None => {
+                    return Err(SzError::InvalidInput(
+                        "a relative bound needs at least one finite value",
+                    ))
+                }
+                Some(r) if !r.is_finite() => {
+                    return Err(SzError::InvalidInput("value range overflows f64"))
+                }
+                Some(_) => {}
+            }
+        }
+        let range = range.unwrap_or(0.0);
+        Ok((range, self.effective(range)))
+    }
+
     fn validate(&self) -> Result<()> {
         let ok = |v: f64| v.is_finite() && v > 0.0;
         let valid = match *self {
@@ -57,6 +86,35 @@ impl ErrorBound {
             ))
         }
     }
+}
+
+/// `max − min` over the finite values of `values`, `None` when none is
+/// finite. Eight independent min/max lanes keep the pass branch-free and
+/// vectorizable; it runs once per band ahead of predict+quantize.
+fn finite_range<T: ScalarFloat>(values: &[T]) -> Option<f64> {
+    const LANES: usize = 8;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let fold = |lo: &mut f64, hi: &mut f64, v: T| {
+        let x = v.to_f64();
+        let finite = x.abs() < f64::INFINITY;
+        *lo = if finite && x < *lo { x } else { *lo };
+        *hi = if finite && x > *hi { x } else { *hi };
+    };
+    let chunks = values.chunks_exact(LANES);
+    for (i, &v) in chunks.remainder().iter().enumerate() {
+        fold(&mut lo[i], &mut hi[i], v);
+    }
+    for chunk in chunks {
+        for i in 0..LANES {
+            fold(&mut lo[i], &mut hi[i], chunk[i]);
+        }
+    }
+    let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    // `+ 0.0` turns the range of an all-zero field into +0 whatever the
+    // zeros' signs.
+    (lo <= hi).then_some((hi - lo) + 0.0)
 }
 
 /// How the number of quantization intervals is chosen (§IV-B).

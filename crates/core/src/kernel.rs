@@ -35,6 +35,25 @@
 //! *bit-identical* to per-point evaluation, so row and point traversals
 //! produce byte-identical archives.
 //!
+//! ## Two rows in flight
+//!
+//! Compression predicts from *reconstructed* neighbors (§III), so each
+//! point's prediction waits on the previous point's quantize →
+//! reconstruct → narrow chain: interior-row throughput is set by the
+//! latency of that loop-carried chain, not by how many instructions a point
+//! costs. Consecutive rows of one plane have independent chains once the
+//! earlier row is far enough ahead, so [`ScanKernel::scan_rows`] hands them
+//! to [`RowVisitor::row_pair`] together. [`RowPair::fold`] runs the two
+//! chains in lockstep, the second row one block of 16 columns behind the
+//! first: every stencil term of the second row reads the first row at or
+//! before its own column, and canonical order puts those terms *first*, so
+//! the second row's partials are batched by the same fill pass once the
+//! first row has finished the block. Predictions are bit-identical to the
+//! one-row scan; only the order in which points reach the visitor changes.
+//! The staged quantizer overrides `row_pair` (keeping codes and escape
+//! order per row); every other visitor, and border columns and a plane's
+//! odd leftover row, stay on the one-row loop.
+//!
 //! The read-only sibling [`ScanKernel::readonly_rows`] goes further: with no
 //! write-back feedback, even the in-row terms are batchable, so interior
 //! rows arrive as fully materialized prediction slices.
@@ -67,6 +86,16 @@ pub enum Carry {
 }
 
 impl Carry {
+    /// The tail of an `n`-layer stencil (`n` is 1 or 2).
+    #[inline]
+    pub fn for_layers(n: usize) -> Self {
+        if n == 1 {
+            Carry::One
+        } else {
+            Carry::Two
+        }
+    }
+
     /// Completes a prediction from its row-invariant `partial` and the one
     /// or two preceding reconstructions.
     #[inline(always)]
@@ -150,6 +179,184 @@ pub trait RowVisitor<T: ScalarFloat> {
         row: &mut [T],
         prev: [T; 2],
     ) -> std::result::Result<(), Self::Error>;
+
+    /// Visits two consecutive rows of one plane whose interiors the scan
+    /// can run together. The leading row's border points have already
+    /// been visited; the pair covers its interior and all of the lagging
+    /// row.
+    ///
+    /// The default keeps the one-row scan order: [`RowPair::visit_in_order`]
+    /// makes the two [`RowVisitor::row`] calls (with the lagging row's
+    /// border [`RowVisitor::point`]s between them). A visitor whose output
+    /// does not depend on call order can override this with
+    /// [`RowPair::fold`], which interleaves the two rows' dependency chains.
+    fn row_pair(&mut self, pair: RowPair<'_, T>) -> std::result::Result<(), Self::Error> {
+        pair.visit_in_order(self)
+    }
+}
+
+/// How far (in columns) the lagging row of a [`RowPair::fold`] runs behind
+/// the leading one. Every lagging-row stencil term reads the leading row at
+/// or before its own column, so once the leading row is a block ahead, the
+/// lagging row's row-invariant partials for that block are final and can be
+/// batched like any other row's.
+const PAIR_LAG: usize = 16;
+
+/// Which row of a [`RowPair`] a point belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The earlier row (its border points precede the pair).
+    Lead,
+    /// The row after it, running behind.
+    Lag,
+}
+
+/// Two consecutive rows of one plane handed to [`RowVisitor::row_pair`]:
+/// the leading row's interior (partials already filled) and the whole
+/// lagging row, whose partials depend on the leading row's values and are
+/// filled as the scan reaches them.
+pub struct RowPair<'a, T> {
+    kernel: &'a mut ScanKernel,
+    buf: &'a mut [T],
+    /// Leading coordinates of the lagging row (`[..rank]` used).
+    lag: [usize; 2],
+    rank: usize,
+    /// Flat index of the leading row's first interior point.
+    lead_seg: usize,
+    row_stride: usize,
+    /// The leading row's interior partials; reused for the lagging row's on
+    /// the in-order path.
+    partials: &'a mut [f64],
+    /// One [`PAIR_LAG`] block of lagging-row partials for [`RowPair::fold`].
+    lag_partials: &'a mut [f64],
+}
+
+impl<T: ScalarFloat> RowPair<'_, T> {
+    /// Flat index of the first point the pair covers (the leading row's
+    /// first interior point).
+    pub fn start(&self) -> usize {
+        self.lead_seg
+    }
+
+    /// One past the flat index of the last point the pair covers (the end
+    /// of the lagging row).
+    pub fn end(&self) -> usize {
+        self.lag_seg() + self.partials.len()
+    }
+
+    fn lag_seg(&self) -> usize {
+        self.lead_seg + self.row_stride
+    }
+
+    /// Visits the pair in one-row scan order: the leading interior as one
+    /// [`RowVisitor::row`], the lagging row's border through
+    /// [`RowVisitor::point`], then its interior as a second `row`.
+    pub fn visit_in_order<V>(self, visitor: &mut V) -> std::result::Result<(), V::Error>
+    where
+        V: RowVisitor<T> + ?Sized,
+    {
+        let n = self.kernel.layers;
+        let carry = Carry::for_layers(n);
+        let len = self.partials.len();
+        let (lead, lag) = (self.lead_seg, self.lag_seg());
+        let prev = carry_seed(self.buf, lead, n);
+        visitor.row(
+            lead,
+            self.partials,
+            carry,
+            &mut self.buf[lead..lead + len],
+            prev,
+        )?;
+        let lag_lead = &self.lag[..self.rank];
+        self.kernel
+            .border_points(lag_lead, lag - n, len + n, self.buf, |f, p| {
+                visitor.point(f, p)
+            })?;
+        let plan = &self.kernel.row_plans[plan_index(n, lag_lead)];
+        fill_partials(&plan.terms[..plan.prior_len], self.buf, lag, self.partials);
+        let prev = carry_seed(self.buf, lag, n);
+        visitor.row(
+            lag,
+            self.partials,
+            carry,
+            &mut self.buf[lag..lag + len],
+            prev,
+        )
+    }
+
+    /// Runs both rows with their dependency chains interleaved: the lagging
+    /// row's border first (it reads only finished values and the leading
+    /// row's border), then the two interiors in lockstep, the lagging row
+    /// [`PAIR_LAG`] columns behind. `f(lane, flat, pred)` returns the value
+    /// to store at `flat`, exactly as [`Carry::fold`]'s callback does.
+    ///
+    /// Every prediction is bit-identical to the one-row scan's (same
+    /// partial-sum passes, same carry fold); only the order in which points
+    /// reach `f` differs, so the visitor must keep any order-dependent
+    /// output (code streams, escape bits) per [`Lane`].
+    #[inline(always)]
+    pub fn fold<E, F>(self, mut f: F) -> std::result::Result<(), E>
+    where
+        F: FnMut(Lane, usize, f64) -> std::result::Result<T, E>,
+    {
+        let n = self.kernel.layers;
+        let carry = Carry::for_layers(n);
+        let len = self.partials.len();
+        let (lead, lag) = (self.lead_seg, self.lag_seg());
+        let lag_lead = &self.lag[..self.rank];
+        self.kernel
+            .border_points(lag_lead, lag - n, len + n, self.buf, |flat, pred| {
+                f(Lane::Lag, flat, pred)
+            })?;
+        let plan = &self.kernel.row_plans[plan_index(n, lag_lead)];
+        let lag_terms = &plan.terms[..plan.prior_len];
+        // Step `t` runs leading block `t` beside lagging block `t − 1`.
+        let blocks = len.div_ceil(PAIR_LAG);
+        for t in 0..=blocks {
+            let a = (t * PAIR_LAG).min(len)..((t + 1) * PAIR_LAG).min(len);
+            let b = (t.saturating_sub(1) * PAIR_LAG).min(a.start)..a.start;
+            let pb = &mut self.lag_partials[..b.len()];
+            fill_partials(lag_terms, self.buf, lag + b.start, pb);
+            let (pa, pb) = (&self.partials[a.clone()], &*pb);
+            let (sa, sb) = (lead + a.start, lag + b.start);
+            let [mut a1, mut a2] = carry_seed(self.buf, sa, n).map(|v| v.to_f64());
+            let [mut b1, mut b2] = carry_seed(self.buf, sb, n).map(|v| v.to_f64());
+            let (head, tail) = self.buf.split_at_mut(sb);
+            let (row_a, row_b) = (&mut head[sa..sa + pa.len()], &mut tail[..pb.len()]);
+            let both = pa.len().min(pb.len());
+            for i in 0..both {
+                let ra = f(Lane::Lead, sa + i, carry.pred(pa[i], a1, a2))?;
+                row_a[i] = ra;
+                (a2, a1) = (a1, ra.to_f64());
+                let rb = f(Lane::Lag, sb + i, carry.pred(pb[i], b1, b2))?;
+                row_b[i] = rb;
+                (b2, b1) = (b1, rb.to_f64());
+            }
+            for i in both..pa.len() {
+                let ra = f(Lane::Lead, sa + i, carry.pred(pa[i], a1, a2))?;
+                row_a[i] = ra;
+                (a2, a1) = (a1, ra.to_f64());
+            }
+            for i in both..pb.len() {
+                let rb = f(Lane::Lag, sb + i, carry.pred(pb[i], b1, b2))?;
+                row_b[i] = rb;
+                (b2, b1) = (b1, rb.to_f64());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The carry seed of an interior segment starting at `seg`: the values at
+/// `seg − 1` and (two layers only) `seg − 2`.
+#[inline]
+fn carry_seed<T: ScalarFloat>(buf: &[T], seg: usize, n: usize) -> [T; 2] {
+    let prev2 = if n == 2 {
+        buf[seg - 2]
+    } else {
+        T::from_f64(0.0)
+    };
+    [buf[seg - 1], prev2]
 }
 
 /// Which traversal implementation a [`ScanKernel`] dispatches to.
@@ -441,61 +648,105 @@ impl ScanKernel {
         let dims = shape.dims();
         let d = dims.len();
         let d_last = dims[d - 1];
-        let carry = if self.layers == 1 {
-            Carry::One
-        } else {
-            Carry::Two
-        };
         let mut scratch = std::mem::take(&mut self.row_scratch);
+        let mut aux = std::mem::take(&mut self.aux_scratch);
         if scratch.len() < d_last {
             scratch.resize(d_last, 0.0);
         }
-        let mut result = Ok(());
-        match d {
-            1 => result = self.row_pass(&[], 0, d_last, carry, &mut scratch, buf, visitor),
-            2 => {
-                let s0 = self.strides[0];
-                for i in 0..dims[0] {
-                    result = self.row_pass(&[i], i * s0, d_last, carry, &mut scratch, buf, visitor);
-                    if result.is_err() {
-                        break;
-                    }
-                }
-            }
-            _ => {
-                let (s0, s1) = (self.strides[0], self.strides[1]);
-                'rows: for i in 0..dims[0] {
-                    for j in 0..dims[1] {
-                        result = self.row_pass(
-                            &[i, j],
-                            i * s0 + j * s1,
-                            d_last,
-                            carry,
-                            &mut scratch,
-                            buf,
-                            visitor,
-                        );
-                        if result.is_err() {
-                            break 'rows;
-                        }
-                    }
-                }
-            }
+        if aux.len() < PAIR_LAG {
+            aux.resize(PAIR_LAG, 0.0);
         }
+        let result = match d {
+            1 => self.row_pass(&[], 0, d_last, &mut scratch, buf, visitor),
+            2 => self.plane_pass(None, dims[0], d_last, &mut scratch, &mut aux, buf, visitor),
+            _ => (0..dims[0]).try_for_each(|i| {
+                self.plane_pass(
+                    Some(i),
+                    dims[1],
+                    d_last,
+                    &mut scratch,
+                    &mut aux,
+                    buf,
+                    visitor,
+                )
+            }),
+        };
         self.row_scratch = scratch;
+        self.aux_scratch = aux;
         result
+    }
+
+    /// The rows of one plane — the whole grid in 2-D, plane `outer` in
+    /// 3-D: consecutive rows two at a time through
+    /// [`RowVisitor::row_pair`]; an odd leftover row, and every row of a
+    /// grid too narrow for an interior segment, one at a time through
+    /// [`Self::row_pass`].
+    #[allow(clippy::too_many_arguments)]
+    fn plane_pass<T, V>(
+        &mut self,
+        outer: Option<usize>,
+        rows: usize,
+        d_last: usize,
+        scratch: &mut [f64],
+        aux: &mut [f64],
+        buf: &mut [T],
+        visitor: &mut V,
+    ) -> std::result::Result<(), V::Error>
+    where
+        T: ScalarFloat,
+        V: RowVisitor<T>,
+    {
+        let d = self.strides.len();
+        let row_stride = self.strides[d - 2];
+        let plane_base = outer.map_or(0, |i| i * self.strides[0]);
+        // Leading coordinates of row `r`: `[r]` in 2-D, `[outer, r]` in 3-D.
+        let lead_of = |r: usize| match outer {
+            Some(i) => [i, r],
+            None => [r, 0],
+        };
+        let rank = d - 1;
+        let n = self.layers;
+        let mut r = 0;
+        while r < rows {
+            let lead = lead_of(r);
+            let base = plane_base + r * row_stride;
+            if r + 1 == rows || d_last <= n {
+                self.row_pass(&lead[..rank], base, d_last, scratch, buf, visitor)?;
+                r += 1;
+                continue;
+            }
+            self.border_points(&lead[..rank], base, d_last, buf, |f, p| visitor.point(f, p))?;
+            let len = d_last - n;
+            let plan = &self.row_plans[plan_index(n, &lead[..rank])];
+            fill_partials(
+                &plan.terms[..plan.prior_len],
+                buf,
+                base + n,
+                &mut scratch[..len],
+            );
+            visitor.row_pair(RowPair {
+                kernel: self,
+                buf,
+                lag: lead_of(r + 1),
+                rank,
+                lead_seg: base + n,
+                row_stride,
+                partials: &mut scratch[..len],
+                lag_partials: &mut aux[..PAIR_LAG],
+            })?;
+            r += 2;
+        }
+        Ok(())
     }
 
     /// One row of the row-granular scan: border columns through the
     /// per-point slow path, then the interior segment through the visitor
     /// with partials precomputed from this row's class plan.
-    #[allow(clippy::too_many_arguments)]
     fn row_pass<T, V>(
         &mut self,
         lead: &[usize],
         base: usize,
         d_last: usize,
-        carry: Carry,
         scratch: &mut [f64],
         buf: &mut [T],
         visitor: &mut V,
@@ -505,27 +756,46 @@ impl ScanKernel {
         V: RowVisitor<T>,
     {
         let n = self.layers;
-        let mut idx = [0usize; 3];
-        idx[..lead.len()].copy_from_slice(lead);
-        for j in 0..d_last.min(n) {
-            idx[lead.len()] = j;
-            let f = base + j;
-            let pred = self.slow_pred(&idx[..=lead.len()], buf, f);
-            buf[f] = visitor.point(f, pred)?;
-        }
+        self.border_points(lead, base, d_last, buf, |f, p| visitor.point(f, p))?;
         if d_last > n {
             let seg = base + n;
             let len = d_last - n;
-            let plan = &self.row_plans[plan_index(self.layers, lead)];
+            let plan = &self.row_plans[plan_index(n, lead)];
             fill_partials(&plan.terms[..plan.prior_len], buf, seg, &mut scratch[..len]);
-            let prev2 = if n == 2 {
-                buf[seg - 2]
-            } else {
-                T::from_f64(0.0)
-            };
-            let prev = [buf[seg - 1], prev2];
+            let prev = carry_seed(buf, seg, n);
             let (_, rest) = buf.split_at_mut(seg);
-            visitor.row(seg, &scratch[..len], carry, &mut rest[..len], prev)?;
+            visitor.row(
+                seg,
+                &scratch[..len],
+                Carry::for_layers(n),
+                &mut rest[..len],
+                prev,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The border columns `0..min(n, d_last)` of the row with leading
+    /// coordinates `lead` starting at flat `base`: each point's shrunk
+    /// Eq. 11 prediction goes to `f`, whose value is stored back.
+    fn border_points<T, E>(
+        &mut self,
+        lead: &[usize],
+        base: usize,
+        d_last: usize,
+        buf: &mut [T],
+        mut f: impl FnMut(usize, f64) -> std::result::Result<T, E>,
+    ) -> std::result::Result<(), E>
+    where
+        T: ScalarFloat,
+    {
+        let mut idx = [0usize; 3];
+        idx[..lead.len()].copy_from_slice(lead);
+        for j in 0..d_last.min(self.layers) {
+            idx[lead.len()] = j;
+            let flat = base + j;
+            let pred = self.slow_pred(&idx[..=lead.len()], buf, flat);
+            buf[flat] = f(flat, pred)?;
         }
         Ok(())
     }
@@ -1951,10 +2221,53 @@ mod tests {
             let out: Tensor<T> = decompress(&a)?;
             assert_eq!(out.dims(), dims);
             for (x, y) in data.iter().zip(out.as_slice()) {
+                if !x.to_f64().is_finite() {
+                    // Non-finite values escape losslessly.
+                    assert_eq!(x.to_bits_u64(), y.to_bits_u64());
+                    continue;
+                }
                 let err = (x.to_f64() - y.to_f64()).abs();
                 assert!(err <= sa.eb_abs, "bound violated: {err} > {}", sa.eb_abs);
             }
             Ok(())
+        }
+
+        /// Shapes for the two-rows-in-flight fold: odd and even row counts
+        /// (1 and 2 included), last dimensions from 1 up past `n + 1`, and
+        /// 3-D planes with odd and even `dims[1]`.
+        fn arb_pair_dims() -> impl Strategy<Value = Vec<usize>> {
+            prop_oneof![
+                (1usize..=9, 1usize..=3).prop_map(|(r, c)| vec![r, c]),
+                (1usize..=9, 4usize..=70).prop_map(|(r, c)| vec![r, c]),
+                (1usize..=3, 1usize..=4, 1usize..=40).prop_map(|(p, r, c)| vec![p, 2 * r - 1, c]),
+                (1usize..=3, 1usize..=4, 1usize..=40).prop_map(|(p, r, c)| vec![p, 2 * r, c]),
+            ]
+        }
+
+        /// A smooth field over `dims` with NaN, ±Inf and outliers written
+        /// into both rows of a pair: `picks` select a pair (even row and the
+        /// row after it), a column, and which of the two rows.
+        fn with_specials<T: ScalarFloat>(
+            dims: &[usize],
+            picks: &[(usize, usize, bool, u8)],
+        ) -> Vec<T> {
+            let d_last = *dims.last().unwrap();
+            let rows = dims.iter().product::<usize>() / d_last;
+            let mut data: Vec<T> = (0..rows * d_last)
+                .map(|i| T::from_f64(((i % d_last) as f64 * 0.3 + (i / d_last) as f64 * 0.7).sin()))
+                .collect();
+            for &(pair, col, lag, kind) in picks {
+                let row = (2 * (pair % rows.div_ceil(2)) + lag as usize).min(rows - 1);
+                let flat = row * d_last + col % d_last;
+                data[flat] = T::from_f64(match kind % 5 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => 3e30,
+                    _ => -7.5e-39,
+                });
+            }
+            data
         }
 
         proptest! {
@@ -1996,6 +2309,67 @@ mod tests {
                 eb in 1e-6f64..1e2,
             ) {
                 let config = Config::new(ErrorBound::Absolute(eb)).with_layers(layers);
+                assert_equivalent(&dims, &data, &config).unwrap();
+            }
+
+            /// Row pairs (both lanes, border columns, odd leftover rows,
+            /// narrow last dimensions) against the point oracle — f32.
+            #[test]
+            fn row_pairs_match_oracle_f32(
+                dims in arb_pair_dims(),
+                seed in any::<u64>(),
+                layers in 1usize..=2,
+                eb in 1e-4f64..1.0,
+                bits in 2u32..=10,
+            ) {
+                let len: usize = dims.iter().product();
+                let data: Vec<f32> = (0..len as u64)
+                    .map(|i| {
+                        let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        (i as f32 * 0.05).sin() * 10.0 + (h >> 40) as f32 * 1e-6
+                    })
+                    .collect();
+                let config = Config::new(ErrorBound::Absolute(eb))
+                    .with_layers(layers)
+                    .with_interval_bits(bits);
+                assert_equivalent(&dims, &data, &config).unwrap();
+            }
+
+            /// The same for f64 grids.
+            #[test]
+            fn row_pairs_match_oracle_f64(
+                dims in arb_pair_dims(),
+                seed in any::<u64>(),
+                layers in 1usize..=2,
+                eb in 1e-6f64..1e-1,
+            ) {
+                let len: usize = dims.iter().product();
+                let data: Vec<f64> = (0..len as u64)
+                    .map(|i| {
+                        let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        (i as f64 * 0.05).sin() * 1e3 + (h >> 40) as f64 * 1e-9
+                    })
+                    .collect();
+                let config = Config::new(ErrorBound::Absolute(eb)).with_layers(layers);
+                assert_equivalent(&dims, &data, &config).unwrap();
+            }
+
+            /// NaN, ±Inf and outliers in the leading and the lagging row of
+            /// a pair escape exactly as on the point path, f32 and f64.
+            #[test]
+            fn specials_in_both_rows_of_a_pair_match_oracle(
+                dims in arb_pair_dims(),
+                picks in prop::collection::vec(
+                    (0usize..8, 0usize..70, any::<bool>(), any::<u8>()),
+                    1..6,
+                ),
+                layers in 1usize..=2,
+                eb in 1e-3f64..1e-1,
+            ) {
+                let config = Config::new(ErrorBound::Absolute(eb)).with_layers(layers);
+                let data: Vec<f32> = with_specials(&dims, &picks);
+                assert_equivalent(&dims, &data, &config).unwrap();
+                let data: Vec<f64> = with_specials(&dims, &picks);
                 assert_equivalent(&dims, &data, &config).unwrap();
             }
 

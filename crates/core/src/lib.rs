@@ -157,7 +157,7 @@ pub use decompress::{
     inspect_layout, ArchiveInfo, BandDamage, BandLayout, DecodePolicy, SalvageReport,
 };
 pub use float::ScalarFloat;
-pub use kernel::{Carry, KernelKind, RowVisitor, ScanKernel};
+pub use kernel::{Carry, KernelKind, Lane, RowPair, RowVisitor, ScanKernel};
 pub use predict::{layer_coefficients, predict_at, Stencil, StencilSet};
 pub use pwrel::{compress_pointwise_rel, decompress_pointwise_rel, verify_pointwise_rel};
 pub use quant::{choose_interval_bits, choose_interval_bits_with_kernel, Quantizer};
@@ -174,6 +174,9 @@ pub use unpred::UnpredictableCodec;
 pub enum SzError {
     /// The configuration is unusable (message explains the field).
     InvalidConfig(&'static str),
+    /// The input values cannot be compressed under the requested bound
+    /// (message explains why).
+    InvalidInput(&'static str),
     /// The archive bytes are malformed or truncated.
     Corrupt(String),
     /// The archive encodes a different scalar type than requested.
@@ -187,6 +190,7 @@ impl std::fmt::Display for SzError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SzError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            SzError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             SzError::Corrupt(msg) => write!(f, "corrupt archive: {msg}"),
             SzError::WrongType { expected, found } => {
                 write!(f, "archive holds {found} data, requested {expected}")

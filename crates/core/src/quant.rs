@@ -1,5 +1,17 @@
 //! Error-controlled quantization (§IV-A) and the adaptive interval scheme
 //! (§IV-B).
+//!
+//! Each point's reconstruction feeds the next point's prediction, so the
+//! interior-row quantize loop is one dependency chain per row: add the
+//! carry, subtract, scale, `round()`, reconstruct, narrow to `T`, widen
+//! again. Its speed is that chain's latency. The staged path therefore runs
+//! two rows' chains interleaved ([`crate::RowPair::fold`], driven by
+//! [`Quantizer::quantize_narrowed`]); the second chain fills the cycles the
+//! first spends waiting. `round()` is one link of the chain: the x86-64
+//! baseline lowers it to a library call, so the paired loop is compiled for
+//! AVX2 when the CPU has it, which turns the call into an exact SSE4.1
+//! rounding sequence. Removing the call shortens each chain; the second
+//! chain hides what is left.
 
 use crate::float::ScalarFloat;
 use crate::kernel::{Carry, ScanKernel};
@@ -104,6 +116,31 @@ impl Quantizer {
         Some(((self.half + k as i64) as u32, recon))
     }
 
+    /// The per-point hit test of the row paths: the interval index, its
+    /// range check, and the bound re-checked on the reconstruction narrowed
+    /// to `T` (narrow rounding can push a borderline value past
+    /// `narrow_eb`). Returns the code and the stored value on a hit, `None`
+    /// for an escape. Decision-identical to [`Quantizer::quantize`] plus
+    /// the caller-side narrowing check.
+    #[inline(always)]
+    pub(crate) fn quantize_narrowed<T: ScalarFloat>(
+        &self,
+        v: f64,
+        pred: f64,
+        narrow_eb: f64,
+    ) -> Option<(u32, T)> {
+        let k = self.interval(v - pred);
+        // `NaN < half` is false, so non-finite values fall through to the
+        // escape path like the point oracle's NaN check.
+        let in_range = k.abs() < self.half as f64;
+        let r = T::from_f64(pred + 2.0 * self.eb * k);
+        if in_range && (v - r.to_f64()).abs() <= narrow_eb {
+            Some(((self.half + k as i64) as u32, r))
+        } else {
+            None
+        }
+    }
+
     /// Reconstructs the value encoded by `code` (which must be non-zero).
     #[inline]
     pub fn reconstruct(&self, code: u32, pred: f64) -> f64 {
@@ -204,26 +241,18 @@ impl Quantizer {
     ) -> std::result::Result<usize, E> {
         debug_assert_eq!(values.len(), partials.len());
         debug_assert_eq!(values.len(), recon.len());
-        let two_eb = 2.0 * self.eb;
-        let half_f = self.half as f64;
         let mut hits = 0usize;
         carry.fold(partials, prev, recon, |i, pred| {
-            let v = values[i].to_f64();
-            let k = self.interval(v - pred);
-            // `NaN < half_f` is false, so non-finite values fall through
-            // to the escape path like the point oracle's NaN check.
-            let in_range = k.abs() < half_f;
-            let r = T::from_f64(pred + two_eb * k);
-            let hit = in_range && (v - r.to_f64()).abs() <= narrow_eb;
-            if hit && emit((self.half + k as i64) as u32)? {
-                hits += 1;
-                Ok(r)
-            } else {
-                let escaped = emit(0)?;
-                debug_assert!(escaped, "sinks must always accept the escape code");
-                misses.push(i as u32);
-                Ok(escape.reconstruction(values[i]))
+            if let Some((code, r)) = self.quantize_narrowed(values[i].to_f64(), pred, narrow_eb) {
+                if emit(code)? {
+                    hits += 1;
+                    return Ok(r);
+                }
             }
+            let escaped = emit(0)?;
+            debug_assert!(escaped, "sinks must always accept the escape code");
+            misses.push(i as u32);
+            Ok(escape.reconstruction(values[i]))
         })?;
         Ok(hits)
     }

@@ -552,7 +552,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         };
         let code_bytes = self.code_bits.finish();
         let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats), write_nanos) = {
+        let ((bytes, stats, deflate_nanos), write_nanos) = {
             let payload = &mut self.payload;
             let entropy = &mut self.entropy;
             let sink_ref = sink.as_deref();
@@ -577,9 +577,11 @@ impl<T: ScalarFloat> CodecSession<T> {
                 scan_nanos,
                 std::mem::size_of_val(values) as u64,
             );
+            // The escape-LZ trial and the post-pass report their own
+            // `Deflate` spans.
             sink.span(
                 Stage::EntropyEncode,
-                write_nanos,
+                write_nanos.saturating_sub(deflate_nanos),
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
@@ -660,7 +662,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         };
         let code_bytes = self.code_bits.finish();
         let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats), write_nanos) = {
+        let ((bytes, stats, deflate_nanos), write_nanos) = {
             let payload = &mut self.payload;
             let entropy = &mut self.entropy;
             let sink_ref = sink.as_deref();
@@ -685,9 +687,11 @@ impl<T: ScalarFloat> CodecSession<T> {
                 scan_nanos,
                 std::mem::size_of_val(values) as u64,
             );
+            // The escape-LZ trial and the post-pass report their own
+            // `Deflate` spans.
             sink.span(
                 Stage::EntropyEncode,
-                write_nanos,
+                write_nanos.saturating_sub(deflate_nanos),
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
@@ -987,6 +991,9 @@ impl<T: ScalarFloat> RowVisitor<T> for FusedRowQuantizer<'_, T> {
 /// so nothing is staged unless the DEFLATE pass needs a contiguous payload.
 /// `meta.escape_lz` arms the same sampled escape trial as the staged
 /// writer; the trailer's payload CRC stays over the raw escape bytes.
+/// Also returns the nanoseconds spent in DEFLATE (trial plus post-pass,
+/// each reported to `sink` as a [`Stage::Deflate`] span), which the caller
+/// keeps out of its entropy-encode span.
 #[allow(clippy::too_many_arguments)]
 fn write_fused_archive(
     meta: &BandMeta,
@@ -999,8 +1006,11 @@ fn write_fused_archive(
     payload_scratch: &mut ByteWriter,
     entropy: &mut EntropyScratch,
     sink: Option<&dyn TelemetrySink>,
-) -> (Vec<u8>, CompressionStats) {
-    let esc_commit = meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink);
+) -> (Vec<u8>, CompressionStats, u64) {
+    let tele = sink.is_some();
+    let (esc_commit, trial_nanos) = timed(tele, || {
+        meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink)
+    });
     let version = match (shared, esc_commit) {
         (false, false) => VERSION_V3,
         (false, true) => VERSION_ESCLZ,
@@ -1035,10 +1045,11 @@ fn write_fused_archive(
     let mut out =
         ByteWriter::with_capacity(64 + 10 * dims.len() + block_len + escape_section.len() + 24);
     write_band_header(&mut out, version, meta, dims);
+    let mut deflate_nanos = trial_nanos;
     let (table_crc, payload_crc) = if meta.lossless_pass {
         payload_scratch.clear();
         let crcs = write_payload(payload_scratch);
-        let deflated = deflater.compress(payload_scratch.as_bytes());
+        let (deflated, nanos) = timed(tele, || deflater.compress(payload_scratch.as_bytes()));
         if deflated.len() < payload_scratch.len() {
             out.write_u8(1);
             out.write_len_prefixed(deflated);
@@ -1047,8 +1058,10 @@ fn write_fused_archive(
             out.write_bytes(payload_scratch.as_bytes());
         }
         if let Some(sink) = sink {
+            sink.span(Stage::Deflate, nanos, deflated.len() as u64);
             report_deflate(sink, deflater.stats());
         }
+        deflate_nanos += nanos;
         crcs
     } else {
         out.write_u8(0);
@@ -1069,7 +1082,7 @@ fn write_fused_archive(
         huffman_bytes: block_len,
         unpredictable_bytes: unpred_bytes.len(),
     };
-    (bytes, stats)
+    (bytes, stats, deflate_nanos)
 }
 
 #[cfg(test)]

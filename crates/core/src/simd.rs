@@ -93,6 +93,27 @@ pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
 
+/// Runs `f` compiled with AVX2 enabled when the dispatch level is AVX2.
+/// Scalar code inlined into `f` then gets the SSE4.1 rounding instructions
+/// for `f64::round`, which the x86-64 baseline otherwise lowers to a
+/// library call. Results are identical: the instruction sequence is exact.
+#[inline(always)]
+pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn run<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if level() == SimdLevel::Avx2 {
+            // SAFETY: the AVX2 level is only selected after runtime
+            // detection confirmed the CPU supports it.
+            return unsafe { run(f) };
+        }
+    }
+    f()
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These loops are the semantics; the SIMD paths
 // below replicate them lane for lane.

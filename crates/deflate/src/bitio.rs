@@ -148,6 +148,22 @@ impl<'a> LsbReader<'a> {
         Ok(self.read_bits(1)? as u32)
     }
 
+    /// Checks that the stream ends here: the rest of the current byte is
+    /// zero padding and no byte follows. A flipped padding bit or appended
+    /// bytes would otherwise decode silently.
+    ///
+    /// # Errors
+    /// [`Error::Corrupt`] on non-zero padding or trailing bytes.
+    pub fn expect_end(&self) -> Result<()> {
+        if self.bit_count >= 8 || self.pos < self.bytes.len() {
+            return Err(Error::Corrupt("data after the final block"));
+        }
+        if self.bit_buf != 0 {
+            return Err(Error::Corrupt("non-zero padding after the final block"));
+        }
+        Ok(())
+    }
+
     /// Discards buffered bits up to the next byte boundary and returns raw
     /// bytes (for stored blocks).
     pub fn read_aligned_bytes(&mut self, n: usize) -> Result<&'a [u8]> {

@@ -924,7 +924,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 }
 
 /// Decompresses a complete DEFLATE stream, appending to `out` (cleared
-/// first) — lets session decoders reuse an inflate buffer.
+/// first) — lets session decoders reuse an inflate buffer. The stream must
+/// end with its final block: only zero padding may follow it.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
     out.clear();
     let mut reader = LsbReader::new(data);
@@ -954,7 +955,7 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
             _ => return Err(Error::Corrupt("reserved block type")),
         }
         if bfinal == 1 {
-            return Ok(());
+            return reader.expect_end();
         }
     }
 }
@@ -994,6 +995,28 @@ mod tests {
             codes,
             vec![0b010, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111]
         );
+    }
+
+    #[test]
+    fn damage_after_the_final_block_is_rejected() {
+        for len in [0usize, 1, 17, 300, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 % 13) as u8).collect();
+            let stream = compress(&data);
+            let mut trailing = stream.clone();
+            trailing.push(0);
+            assert!(decompress(&trailing).is_err(), "len {len}: trailing byte");
+            // A flip in the last byte hits either a code or the padding
+            // after the final block; neither may decode to the input.
+            for bit in 0..8 {
+                let mut flipped = stream.clone();
+                *flipped.last_mut().unwrap() ^= 1 << bit;
+                assert_ne!(
+                    decompress(&flipped).ok(),
+                    Some(data.clone()),
+                    "len {len} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]

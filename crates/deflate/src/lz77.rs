@@ -18,13 +18,24 @@ const NIL: u32 = u32::MAX;
 /// Matcher effort: how hard to look for back-references.
 ///
 /// Levels map to the zlib-style knobs (hash-chain probe budget, one-step
-/// lazy evaluation, and the "good enough" length that stops the search):
+/// lazy evaluation, and the "good enough" length that stops the search)
+/// plus an LZ4-style miss skip:
 ///
-/// | level     | max chain | lazy | good-enough |
-/// |-----------|-----------|------|-------------|
-/// | `Fast`    | 32        | no   | 32          |
-/// | `Default` | 128       | yes  | 96          |
-/// | `Best`    | 1024      | yes  | 258         |
+/// | level     | max chain | lazy | good-enough | miss skip |
+/// |-----------|-----------|------|-------------|-----------|
+/// | `Fast`    | 32        | no   | 32          | yes       |
+/// | `Default` | 128       | yes  | 96          | yes       |
+/// | `Best`    | 1024      | yes  | 258         | no        |
+///
+/// With the miss skip, once 64 positions in a row have gone without a
+/// match, the matcher searches only every `1 + (misses >> 6)`-th position
+/// (`misses` counts the positions, searched or skipped, since the last
+/// match) and emits the positions in between as literals, still inserted
+/// into the hash chains. The first match resets the count.
+/// Huffman-coded quantization streams hold long match-poor stretches where
+/// chain walks cost most of the post-pass time and buy almost nothing; a
+/// repeat longer than the current stride is still found, from its first
+/// searched position on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Effort {
     /// Shallow chains, greedy-only: highest throughput.
@@ -38,12 +49,12 @@ pub enum Effort {
 
 impl Effort {
     #[inline]
-    fn params(self) -> (usize, bool, usize) {
-        // (max_chain, lazy, good_enough)
+    fn params(self) -> (usize, bool, usize, bool) {
+        // (max_chain, lazy, good_enough, miss skip)
         match self {
-            Effort::Fast => (32, false, 32),
-            Effort::Default => (128, true, 96),
-            Effort::Best => (1024, true, MAX_MATCH),
+            Effort::Fast => (32, false, 32, true),
+            Effort::Default => (128, true, 96, true),
+            Effort::Best => (1024, true, MAX_MATCH, false),
         }
     }
 }
@@ -134,7 +145,7 @@ impl LzState {
         }
         tokens.reserve(n / 4 + 16);
         self.head.fill(NIL);
-        let (max_chain, lazy, good_enough) = effort.params();
+        let (max_chain, lazy, good_enough, skip_misses) = effort.params();
         let head = &mut self.head;
         let prev = &mut self.prev;
 
@@ -177,6 +188,8 @@ impl LzState {
         };
 
         let mut pos = 0usize;
+        // Positions since the last match, for the miss skip.
+        let mut misses = 0usize;
         while pos < n {
             if pos + MIN_MATCH > n {
                 tokens.push(Token::Literal(data[pos]));
@@ -185,6 +198,7 @@ impl LzState {
             }
             let (len, dist) = find_best(head, prev, pos);
             if len >= MIN_MATCH {
+                misses = 0;
                 // Lazy evaluation: would starting at pos+1 do strictly better?
                 let take_now = if lazy && pos + 1 + MIN_MATCH <= n && len < good_enough {
                     let (next_len, _) = find_best(head, prev, pos + 1);
@@ -207,6 +221,19 @@ impl LzState {
             tokens.push(Token::Literal(data[pos]));
             insert(head, prev, pos);
             pos += 1;
+            if len < MIN_MATCH && skip_misses {
+                // Past 64 positions without a match, pass over the next
+                // `misses >> 6` positions unsearched: literals, still
+                // chained so later searches can match against them.
+                misses += 1;
+                let end = (pos + (misses >> 6)).min(n);
+                for (p, &b) in (pos..end).zip(&data[pos..end]) {
+                    tokens.push(Token::Literal(b));
+                    insert(head, prev, p);
+                }
+                misses += end - pos;
+                pos = end;
+            }
         }
     }
 }
@@ -332,6 +359,80 @@ mod tests {
         reused.tokenize_into(&second, Effort::Default, &mut tokens);
         let fresh = tokenize(&second);
         assert_eq!(tokens, fresh, "stale state must not leak across inputs");
+    }
+
+    /// xorshift64 bytes: a match-poor stretch.
+    fn noise(len: usize, mut h: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                h ^= h << 13;
+                h ^= h >> 7;
+                h ^= h << 17;
+                (h >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the token stream.
+    fn token_digest(tokens: &[Token]) -> u64 {
+        tokens.iter().fold(0xcbf2_9ce4_8422_2325, |d, t| {
+            let v = match *t {
+                Token::Literal(b) => b as u64,
+                Token::Match { len, dist } => 1 << 32 | (len as u64) << 16 | dist as u64,
+            };
+            (d ^ v).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn phrase_after_a_long_match_poor_stretch_is_still_matched() {
+        // 256 KiB of noise winds the miss skip up; the second copy of the
+        // phrase must still be found.
+        let phrase: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let mut data = noise(256 * 1024, 0x2545_F491_4F6C_DD1D);
+        let first = data.len();
+        data.extend_from_slice(&phrase);
+        data.extend_from_slice(&noise(1024, 7));
+        let second = data.len();
+        data.extend_from_slice(&phrase);
+        data.extend_from_slice(&noise(64, 9));
+        for effort in [Effort::Fast, Effort::Default] {
+            let mut state = LzState::new();
+            let mut tokens = Vec::new();
+            state.tokenize_into(&data, effort, &mut tokens);
+            assert_eq!(expand(&tokens), data, "effort {effort:?}");
+            let dist = (second - first) as u16;
+            let matched: usize = tokens
+                .iter()
+                .filter_map(|t| match *t {
+                    Token::Match { len, dist: d } if d == dist => Some(len as usize),
+                    _ => None,
+                })
+                .sum();
+            assert!(
+                matched >= phrase.len() / 2,
+                "effort {effort:?}: {matched} of {} phrase bytes matched",
+                phrase.len()
+            );
+        }
+    }
+
+    #[test]
+    fn best_effort_does_not_skip() {
+        // Noise with a compressible burst every 4 KiB. The digest was taken
+        // from the matcher before the miss skip existed: `Best` must keep
+        // searching every position and produce the same tokens.
+        let mut data = noise(200_000, 0x2545_F491_4F6C_DD1D);
+        for (i, b) in data.iter_mut().enumerate() {
+            if (i / 1024) % 4 == 3 {
+                *b = (i % 11) as u8;
+            }
+        }
+        let mut state = LzState::new();
+        let mut tokens = Vec::new();
+        state.tokenize_into(&data, Effort::Best, &mut tokens);
+        assert_eq!(tokens.len(), 150_346);
+        assert_eq!(token_digest(&tokens), 0x1bca_ce3a_8a02_2615);
     }
 
     #[test]

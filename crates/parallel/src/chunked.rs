@@ -10,7 +10,7 @@ use szr_core::{
     SzError,
 };
 use szr_huffman::HuffmanCodec;
-use szr_metrics::{value_range, Real};
+use szr_metrics::Real;
 use szr_planner::plan_band_config_with_estimate;
 use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use szr_tensor::{Shape, Tensor};
@@ -685,7 +685,7 @@ pub fn compress_chunked_planned_telemetry<T: ScalarFloat + Real + Send + Sync>(
 ) -> Result<(ChunkedArchive, Vec<Config>)> {
     // Validate the bound spec through a throwaway config before resolving.
     Config::new(bound).validate()?;
-    let eb_abs = bound.effective(value_range(data.as_slice()));
+    let (_, eb_abs) = bound.resolve(data.as_slice())?;
     let dims = data.dims().to_vec();
     let ranges = band_ranges(dims[0], num_chunks.max(1));
     let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
@@ -995,15 +995,9 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
     // Pin the bound against the full tensor's range so every band honors
     // one absolute guarantee and quantizes on the same intervals the
     // sampled table was built for.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        let x = v.to_f64();
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    let range = if lo > hi { 0.0 } else { hi - lo };
+    let (_, eb) = config.bound.resolve(values)?;
     let pinned = Config {
-        bound: ErrorBound::Absolute(config.bound.effective(range)),
+        bound: ErrorBound::Absolute(eb),
         ..*config
     };
 

@@ -166,7 +166,15 @@
 //! for speed, and a content-aware block splitter segments the token
 //! stream where its symbol statistics shift (chunked histograms,
 //! divergence-priced boundaries with merge-back), guaranteed never to
-//! price worse than the fixed segmentation it replaces.
+//! price worse than the fixed segmentation it replaces. `Fast` and
+//! `Default` also skip match-poor stretches, much as LZ4 does: once 64
+//! positions in a row have gone without a match, the matcher searches only
+//! every `1 + (misses >> 6)`-th position (`misses` counting positions since
+//! the last match), emits the rest as literals (still chained, so later
+//! matches can point at them), and searches every position again after the
+//! next match. Huffman-coded quantization streams are mostly such stretches;
+//! the skip removes about a third of the post-pass time for archives at
+//! most 0.25% larger on the paper datasets. `Best` never skips.
 //!
 //! The same machinery can attack the *escape stream* — the raw binary
 //! encodings of unpredictable values, whose spatially-correlated runs the
@@ -226,6 +234,9 @@
 //! previous-neighbor [`Carry`] in the scalar tail; compression batches the
 //! hit test and code emission through `Quantizer::quantize_row`, and the
 //! fallible row decode aborts a corrupt archive at the first bad symbol.
+//! The staged compressor keeps two rows in flight ([`RowPair`]): the scan
+//! is bound by each row's loop-carried reconstruction chain, and two
+//! independent chains share the core.
 //! The per-point visitor (`ScanKernel::scan`) is retained as the slow-path
 //! oracle; row and point paths produce byte-identical archives, pinned by
 //! property tests across every dimension/layer/shape class.
@@ -268,8 +279,8 @@ pub use szr_core::{
     quantization_histogram, quantization_histogram_with_kernel, quantize_slice_with_kernel,
     quantize_slice_with_kernel_oracle, verify_pointwise_rel, ArchiveInfo, BandDamage, BandLayout,
     Carry, CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable,
-    IntervalMode, KernelKind, PredictionBasis, QuantizedBand, Quantizer, Result, RowVisitor,
-    SalvageReport, ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor,
+    IntervalMode, KernelKind, Lane, PredictionBasis, QuantizedBand, Quantizer, Result, RowPair,
+    RowVisitor, SalvageReport, ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor,
     StreamDecompressor, SzError, UnpredictableCodec,
 };
 pub use szr_tensor::{Shape, Tensor};

@@ -203,3 +203,36 @@ fn chunked_telemetry_merges_per_worker_sinks_in_band_order() {
     let chunk_bytes: usize = observed.chunks.iter().map(Vec::len).sum();
     assert_eq!(band_bytes as usize, chunk_bytes);
 }
+
+/// A fused band reports its DEFLATE post-pass as a `Deflate` span, and no
+/// time is counted twice: the escape-LZ trial and the post-pass sit in
+/// `Deflate` only, so the stage times sum to at most the call's wall time.
+#[test]
+fn fused_band_spans_deflate_once_and_fit_in_wall_time() {
+    use szr::telemetry::Stage;
+    // Noise on a smooth field: enough escapes for the escape-LZ trial.
+    let data = Tensor::from_fn([96, 128], |ix| {
+        let h = ((ix[0] * 128 + ix[1]) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((ix[0] as f32) * 0.05).sin() * 30.0 + ((h >> 40) as f32) * 1e-4
+    });
+    let config = Config::new(ErrorBound::Absolute(1e-2))
+        .with_interval_bits(6)
+        .with_escape_lz();
+    let (mut session, sink) = recording_session(config);
+    session.set_table_reuse(true);
+    session.compress(&data).unwrap(); // staged: seeds the reuse table
+
+    sink.clear();
+    let start = std::time::Instant::now();
+    session.compress(&data).unwrap();
+    let wall = start.elapsed().as_nanos() as u64;
+    let report = sink.report();
+    // Only the staged writer records header I/O: this band went fused.
+    assert!(report.span(Stage::HeaderIo).is_none(), "band was not fused");
+    assert_eq!(report.counter(Counter::FusedTableReseeds), 0);
+    let deflate = report.span(Stage::Deflate).expect("post-pass span");
+    // The escape-LZ trial plus the post-pass.
+    assert!(deflate.calls >= 2, "deflate calls {}", deflate.calls);
+    let stages: u64 = report.spans.iter().map(|(_, s)| s.nanos).sum();
+    assert!(stages <= wall, "stages {stages} ns > wall {wall} ns");
+}
