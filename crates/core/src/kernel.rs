@@ -287,8 +287,9 @@ impl<T: ScalarFloat> RowPair<'_, T> {
     /// Runs both rows with their dependency chains interleaved: the lagging
     /// row's border first (it reads only finished values and the leading
     /// row's border), then the two interiors in lockstep, the lagging row
-    /// [`PAIR_LAG`] columns behind. `f(lane, flat, pred)` returns the value
-    /// to store at `flat`, exactly as [`Carry::fold`]'s callback does.
+    /// one 16-column block (`PAIR_LAG`) behind. `f(lane, flat, pred)`
+    /// returns the value to store at `flat`, exactly as [`Carry::fold`]'s
+    /// callback does.
     ///
     /// Every prediction is bit-identical to the one-row scan's (same
     /// partial-sum passes, same carry fold); only the order in which points
