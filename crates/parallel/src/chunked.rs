@@ -5,9 +5,8 @@ use std::sync::{Arc, Mutex};
 
 use szr_bitstream::{ByteReader, ByteWriter};
 use szr_core::{
-    check_declared_len, encode_quantized, ArchiveInfo, BandDamage, CodecSession, Config,
-    DecodePolicy, ErrorBound, HuffmanTable, QuantizedBand, Result, SalvageReport, ScalarFloat,
-    SzError,
+    check_declared_len, ArchiveInfo, BandDamage, CodecSession, Config, DecodePolicy, ErrorBound,
+    HuffmanTable, Result, SalvageReport, ScalarFloat, SzError,
 };
 use szr_huffman::HuffmanCodec;
 use szr_metrics::Real;
@@ -16,40 +15,6 @@ use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use szr_tensor::{Shape, Tensor};
 
 use crate::scheduler::BandScheduler;
-
-/// Per-worker telemetry: each worker thread records into its own
-/// [`RecordingSink`] (no cross-thread contention on the hot path) and the
-/// driver folds every worker's sink into the caller's once the scope joins.
-/// Returns `None` — and the workers run with no sink attached at all — when
-/// the caller did not ask for telemetry.
-fn worker_sink(sink: Option<&RecordingSink>) -> Option<Arc<RecordingSink>> {
-    sink.map(|_| Arc::new(RecordingSink::new()))
-}
-
-/// Attaches a worker's private sink (if any) to its session.
-fn attach<T: ScalarFloat>(session: &mut CodecSession<T>, ws: &Option<Arc<RecordingSink>>) {
-    if let Some(ws) = ws {
-        session.set_telemetry(Some(ws.clone() as Arc<dyn TelemetrySink>));
-    }
-}
-
-/// Folds a worker's private sink into the caller's.
-fn merge_into(sink: Option<&RecordingSink>, ws: &Option<Arc<RecordingSink>>) {
-    if let (Some(sink), Some(ws)) = (sink, ws) {
-        sink.merge_from(ws);
-    }
-}
-
-/// Surfaces the scheduler's cross-worker steal count (imbalance signal)
-/// into the caller's sink after a parallel phase joins.
-fn record_steals(sink: Option<&RecordingSink>, sched: &BandScheduler) {
-    if let Some(sink) = sink {
-        let steals = sched.steals();
-        if steals > 0 {
-            sink.counter(Counter::SchedulerSteals, steals);
-        }
-    }
-}
 
 /// A tensor compressed as independent per-band archives.
 ///
@@ -566,6 +531,220 @@ fn band_ranges(extent: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The row split shared by every chunked driver and the archive service:
+/// `parts` contiguous bands of the slowest dimension (fewer when the tensor
+/// has fewer rows), each a contiguous slice of the row-major buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BandSplit {
+    dims: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+}
+
+impl BandSplit {
+    /// Splits a tensor shaped `dims` into `parts` bands, clamped to
+    /// between one and the row count (an empty tensor has no bands).
+    pub fn new(dims: &[usize], parts: usize) -> Self {
+        Self {
+            dims: dims.to_vec(),
+            ranges: band_ranges(dims[0], parts),
+        }
+    }
+
+    /// Full-tensor dims (slowest first).
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Number of bands.
+    pub fn bands(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Elements per slowest-dimension row.
+    fn row_elems(&self) -> usize {
+        self.dims[1..].iter().product::<usize>().max(1)
+    }
+
+    /// Shape of band `band`: the full dims with the slowest extent cut to
+    /// the band's rows.
+    pub fn shape(&self, band: usize) -> Shape {
+        let (r0, r1) = self.ranges[band];
+        let mut dims = self.dims.clone();
+        dims[0] = r1 - r0;
+        Shape::new(&dims)
+    }
+
+    /// Band `band`'s values inside the full row-major buffer `values`.
+    pub fn slice<'a, T>(&self, values: &'a [T], band: usize) -> &'a [T] {
+        let (r0, r1) = self.ranges[band];
+        &values[r0 * self.row_elems()..r1 * self.row_elems()]
+    }
+}
+
+/// Compresses band `band` of `values` (split by `split`) into a
+/// self-contained band archive: the band task behind [`compress_chunked`]
+/// and the archive service's compress jobs.
+///
+/// The session is armed with `config` on every call, so a reused session
+/// never carries an earlier job's error bound into this band, and band
+/// records are stamped with `band`.
+pub fn compress_band<T: ScalarFloat>(
+    session: &mut CodecSession<T>,
+    config: Config,
+    split: &BandSplit,
+    values: &[T],
+    band: usize,
+) -> Result<Vec<u8>> {
+    session.set_config(config)?;
+    session.set_next_band_index(band as u64);
+    session
+        .compress_slice(split.slice(values, band), &split.shape(band))
+        .map(|(bytes, _)| bytes)
+}
+
+/// Decodes one band archive under `policy`. `shared` is the container's
+/// shared Huffman codec, if it has one; self-contained (version-1) bands
+/// ignore it.
+pub fn decode_band<T: ScalarFloat>(
+    session: &mut CodecSession<T>,
+    chunk: &[u8],
+    shared: Option<&HuffmanCodec>,
+    policy: DecodePolicy,
+) -> Result<Tensor<T>> {
+    session.set_decode_policy(policy);
+    match shared {
+        Some(codec) => session.decompress_shared(chunk, codec),
+        None => session.decompress(chunk),
+    }
+}
+
+/// Stitches decoded bands, in band order, into one tensor with the inner
+/// dims of `dims`, returning the first error in band order.
+///
+/// With `entries == None` the bands must tile the container extent
+/// `dims[0]` exactly. With the [`BandIndex`] entries of the decoded bands,
+/// the result holds their rows and each band must decode to the extent its
+/// entry declares: a different extent would misplace every later row.
+/// `trim = Some((skip, keep))` then cuts the result to rows
+/// `skip..skip + keep` (region reads).
+pub fn stitch_bands<T: ScalarFloat>(
+    dims: &[usize],
+    entries: Option<&[BandIndexEntry]>,
+    bands: impl IntoIterator<Item = Result<Tensor<T>>>,
+    trim: Option<(usize, usize)>,
+) -> Result<Tensor<T>> {
+    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
+    let total = entries.map_or(dims[0], |entries| entries.iter().map(|e| e.rows).sum());
+    let mut out: Vec<T> = vec![T::from_f64(0.0); total * row_elems];
+    let mut row = 0usize;
+    for (i, band) in bands.into_iter().enumerate() {
+        let band = band?;
+        if band.dims()[1..] != dims[1..] {
+            return Err(SzError::Corrupt("band inner dimensions disagree".into()));
+        }
+        let rows = band.dims()[0];
+        match entries {
+            Some(entries) if rows != entries[i].rows => {
+                return Err(SzError::Corrupt(
+                    "index: band row extent disagrees with the decoded band".into(),
+                ))
+            }
+            None if row + rows > total => {
+                return Err(SzError::Corrupt("bands overrun the original extent".into()))
+            }
+            _ => {}
+        }
+        out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
+        row += rows;
+    }
+    if row != total {
+        return Err(SzError::Corrupt(
+            "bands do not cover the original extent".into(),
+        ));
+    }
+    let mut out_dims = dims.to_vec();
+    out_dims[0] = total;
+    if let Some((skip, keep)) = trim {
+        if total < skip + keep {
+            return Err(SzError::Corrupt(
+                "index: covering bands hold fewer rows than declared".into(),
+            ));
+        }
+        out_dims[0] = keep;
+        out = out[skip * row_elems..(skip + keep) * row_elems].to_vec();
+    }
+    Ok(Tensor::from_vec(Shape::new(&out_dims), out))
+}
+
+/// Runs `f` with a private [`RecordingSink`] attached to `session` and
+/// folds it into `sink` afterwards, so workers record without cross-thread
+/// contention on the hot path. With no `sink` the session runs with no
+/// sink attached at all.
+fn with_worker_sink<T: ScalarFloat, R>(
+    session: &mut CodecSession<T>,
+    sink: Option<&RecordingSink>,
+    f: impl FnOnce(&mut CodecSession<T>) -> R,
+) -> R {
+    let Some(sink) = sink else {
+        return f(session);
+    };
+    let own = Arc::new(RecordingSink::new());
+    session.set_telemetry(Some(own.clone() as Arc<dyn TelemetrySink>));
+    let out = f(session);
+    sink.merge_from(&own);
+    out
+}
+
+/// Runs `task` over bands `0..bands` on up to `threads` scoped workers and
+/// returns the results in band order.
+///
+/// Each worker drains its own contiguous run of bands and steals from the
+/// most loaded peer once dry, so one slow band cannot serialize the rest of
+/// the job behind it. Each worker owns one decode-only [`CodecSession`]
+/// that `task` arms as it needs: bands share their inner extents, so the
+/// session's cached kernels and its quantize, entropy and decode buffers
+/// serve every band the worker claims. Worker telemetry and the
+/// scheduler's steal count merge into `sink`.
+fn run_bands<T, R, F>(
+    bands: usize,
+    threads: usize,
+    sink: Option<&RecordingSink>,
+    task: F,
+) -> Vec<Result<R>>
+where
+    T: ScalarFloat,
+    R: Send,
+    F: Fn(&mut CodecSession<T>, usize) -> Result<R> + Sync,
+{
+    let threads = threads.clamp(1, bands.max(1));
+    let sched = BandScheduler::new(bands, threads);
+    let slots: Vec<Mutex<Option<Result<R>>>> = (0..bands).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                let mut session = CodecSession::<T>::decoder();
+                with_worker_sink(&mut session, sink, |session| {
+                    let w = sched.register();
+                    while let Some(band) = sched.next(w) {
+                        *slots[band].lock().unwrap() = Some(task(session, band));
+                    }
+                });
+            });
+        }
+    });
+    if let (Some(sink), steals @ 1..) = (sink, sched.steals()) {
+        sink.counter(Counter::SchedulerSteals, steals);
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap()
+                .expect("every band is claimed exactly once")
+        })
+        .collect()
+}
+
 /// Compresses `data` as `num_chunks` independent band archives using up to
 /// `threads` worker threads.
 ///
@@ -594,60 +773,14 @@ pub fn compress_chunked_telemetry<T: ScalarFloat + Send + Sync>(
     sink: Option<&RecordingSink>,
 ) -> Result<ChunkedArchive> {
     config.validate()?;
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
-
-    // Work queues: each worker drains its own contiguous run of bands and
-    // steals from the most loaded peer once dry, so one slow band cannot
-    // serialize the rest of the job behind it.
-    let sched = BandScheduler::new(ranges.len(), threads);
-    let results: Vec<Mutex<Option<Result<Vec<u8>>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // One CodecSession per worker: bands share their inner
-                // extents, so the session's cached kernel (dispatch
-                // decision, boundary-stencil cache, row-engine scratch) and
-                // its quantize/entropy buffers serve every band the worker
-                // claims — setup and allocations are paid once per worker,
-                // not once per band.
-                let mut session = CodecSession::<T>::new(*config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    session.set_next_band_index(band as u64);
-                    let result = session
-                        .compress_slice(slice, &shape)
-                        .map(|(bytes, _)| bytes);
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok(bytes)) => chunks.push(bytes),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
+    let split = BandSplit::new(data.dims(), num_chunks);
+    let chunks = run_bands(split.bands(), threads, sink, |session, band| {
+        compress_band(session, *config, &split, data.as_slice(), band)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
     Ok(ChunkedArchive {
-        dims,
+        dims: data.dims().to_vec(),
         chunks,
         shared_table: None,
     })
@@ -685,64 +818,24 @@ pub fn compress_chunked_planned_telemetry<T: ScalarFloat + Real + Send + Sync>(
 ) -> Result<(ChunkedArchive, Vec<Config>)> {
     // Validate the bound spec through a throwaway config before resolving.
     Config::new(bound).validate()?;
-    let (_, eb_abs) = bound.resolve(data.as_slice())?;
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
     let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
-
-    let sched = BandScheduler::new(ranges.len(), threads);
-    type Planned = (Vec<u8>, Config);
-    let results: Vec<Mutex<Option<Result<Planned>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Per-band planning may pick different layer counts; the
-                // session's kernel cache keys on (layers, stride family),
-                // so one session per worker still reuses everything.
-                let mut session = CodecSession::<T>::decoder();
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    let (config, estimate) = plan_band_config_with_estimate(slice, &shape, eb_abs);
-                    session.set_next_band_index(band as u64);
-                    session.set_planned_bits_per_value(Some(estimate));
-                    let result = session
-                        .set_config(config)
-                        .and_then(|()| session.compress_slice(slice, &shape))
-                        .map(|(bytes, _)| (bytes, config));
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut configs = Vec::with_capacity(ranges.len());
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok((bytes, config))) => {
-                chunks.push(bytes);
-                configs.push(config);
-            }
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
+    let (_, eb_abs) = bound.resolve(values)?;
+    let split = BandSplit::new(data.dims(), num_chunks);
+    let planned = run_bands(split.bands(), threads, sink, |session, band| {
+        // Per-band planning may pick different layer counts; the session's
+        // kernel cache keys on (layers, stride family), so one session per
+        // worker still reuses everything.
+        let (config, estimate) =
+            plan_band_config_with_estimate(split.slice(values, band), &split.shape(band), eb_abs);
+        session.set_planned_bits_per_value(Some(estimate));
+        compress_band(session, config, &split, values, band).map(|bytes| (bytes, config))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    let (chunks, configs) = planned.into_iter().unzip();
     Ok((
         ChunkedArchive {
-            dims,
+            dims: data.dims().to_vec(),
             chunks,
             shared_table: None,
         },
@@ -787,51 +880,21 @@ pub fn compress_chunked_shared_telemetry<T: ScalarFloat + Send + Sync>(
     sink: Option<&RecordingSink>,
 ) -> Result<ChunkedArchive> {
     config.validate()?;
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
+    let split = BandSplit::new(data.dims(), num_chunks);
     let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
 
     // Phase A (parallel): predict→quantize each band, holding the code
     // streams in memory (4 bytes/point, transient).
-    let sched = BandScheduler::new(ranges.len(), threads);
-    let quantized: Vec<Mutex<Option<Result<QuantizedBand>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = CodecSession::<T>::new(*config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    let result = session.quantize(slice, &shape);
-                    if let Ok(band) = &result {
-                        // Force the cached histogram here, in parallel, so
-                        // the serial merge below only reads it.
-                        band.histogram();
-                    }
-                    *quantized[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let mut bands = Vec::with_capacity(ranges.len());
-    for cell in quantized {
-        match cell.into_inner().unwrap() {
-            Some(Ok(band)) => bands.push(band),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
+    let bands = run_bands(split.bands(), threads, sink, |session, band| {
+        session.set_config(*config)?;
+        let quantized = session.quantize(split.slice(values, band), &split.shape(band))?;
+        // Force the cached histogram here, in parallel, so the serial merge
+        // below only reads it.
+        quantized.histogram();
+        Ok(quantized)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
 
     // Phase B (serial): merge the bands' cached histograms (no code-stream
     // re-scan), build the shared codec, and decide per band whether sharing
@@ -879,50 +942,20 @@ pub fn compress_chunked_shared_telemetry<T: ScalarFloat + Send + Sync>(
     let any_shared = bands.len() > 1 && saved_bits >= shared_table_bits;
 
     // Phase C (parallel): entropy-code each band under its chosen table.
-    // Telemetry runs through per-worker sessions (band records need the
-    // session's band index); the plain path keeps the free function.
-    let sched = BandScheduler::new(bands.len(), threads);
-    let encoded: Vec<Mutex<Option<Vec<u8>>>> = (0..bands.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = sink.map(|_| CodecSession::<T>::decoder());
-                let ws = worker_sink(sink);
-                if let Some(session) = &mut session {
-                    attach(session, &ws);
-                }
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let table = if any_shared && use_shared[band] {
-                        HuffmanTable::Shared(&shared)
-                    } else {
-                        HuffmanTable::PerBand
-                    };
-                    let bytes = match &mut session {
-                        Some(session) => {
-                            session.set_next_band_index(band as u64);
-                            session.encode(&bands[band], table).0
-                        }
-                        None => encode_quantized(&bands[band], table).0,
-                    };
-                    *encoded[band].lock().unwrap() = Some(bytes);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let chunks: Vec<Vec<u8>> = encoded
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .unwrap()
-                .expect("every band is claimed exactly once")
-        })
-        .collect();
+    let chunks = run_bands::<T, _, _>(bands.len(), threads, sink, |session, band| {
+        let table = if any_shared && use_shared[band] {
+            HuffmanTable::Shared(&shared)
+        } else {
+            HuffmanTable::PerBand
+        };
+        session.set_next_band_index(band as u64);
+        Ok(session.encode(&bands[band], table).0)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
 
     Ok(ChunkedArchive {
-        dims,
+        dims: data.dims().to_vec(),
         chunks,
         shared_table: any_shared.then(|| szr_huffman::serialize_codec(&shared)),
     })
@@ -983,14 +1016,13 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
         // correct (and still table-sharing) fallback.
         return compress_chunked_shared_telemetry(data, config, num_chunks, threads, sink);
     }
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    if ranges.len() <= 1 {
+    let split = BandSplit::new(data.dims(), num_chunks);
+    if split.bands() <= 1 {
         return compress_chunked_telemetry(data, config, num_chunks, threads, sink);
     }
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
+    let dims = data.dims();
+    let row_elems = split.row_elems();
     let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len());
 
     // Pin the bound against the full tensor's range so every band honors
     // one absolute guarantee and quantizes on the same intervals the
@@ -1005,19 +1037,18 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
     // (one band's worth of rows, planner-style), so the shared code prices
     // the global distribution rather than one band's: a heterogeneous slab
     // elsewhere in the tensor still finds its common codes covered.
-    let stride = ranges.len();
+    let stride = split.bands();
     let n_sampled = dims[0].div_ceil(stride);
     let mut sample: Vec<T> = Vec::with_capacity(n_sampled * row_elems);
     for i in (0..dims[0]).step_by(stride) {
         sample.extend_from_slice(&values[i * row_elems..(i + 1) * row_elems]);
     }
-    let mut sample_dims = dims.clone();
+    let mut sample_dims = dims.to_vec();
     sample_dims[0] = n_sampled;
     let mut seeder = CodecSession::<T>::new(pinned)?;
-    let seed_sink = worker_sink(sink);
-    attach(&mut seeder, &seed_sink);
-    let seed = seeder.quantize(&sample, &Shape::new(&sample_dims))?;
-    merge_into(sink, &seed_sink);
+    let seed = with_worker_sink(&mut seeder, sink, |seeder| {
+        seeder.quantize(&sample, &Shape::new(&sample_dims))
+    })?;
     let shared = szr_core::covering_codec(seed.histogram());
     // Pin the sample's interval bits for every band: the shared table's
     // symbol range only lines up when all bands quantize on the same
@@ -1029,69 +1060,30 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
         ..pinned
     };
 
-    // All bands: fused under the fixed table, per-worker sessions.
-    let sched = BandScheduler::new(ranges.len(), threads);
-    type Fused = (Vec<u8>, bool);
-    let results: Vec<Mutex<Option<Result<Fused>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session =
-                    CodecSession::<T>::new(worker_config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    session.set_next_band_index(band as u64);
-                    let result = match session.compress_slice_shared_fused(slice, &shape, &shared) {
-                        Ok(Some((bytes, _))) => Ok((bytes, true)),
-                        // Structural divergence: self-contained staged
-                        // fallback under the caller's interval mode, so the
-                        // band gets its own adaptive bits and table.
-                        Ok(None) => {
-                            session.set_next_band_index(band as u64);
-                            let staged = match session.set_config(pinned) {
-                                Ok(()) => session
-                                    .compress_slice(slice, &shape)
-                                    .map(|(bytes, _)| (bytes, false)),
-                                Err(e) => Err(e),
-                            };
-                            session
-                                .set_config(worker_config)
-                                .expect("config validated above");
-                            staged
-                        }
-                        Err(e) => Err(e),
-                    };
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut any_shared = false;
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok((bytes, used_shared))) => {
-                any_shared |= used_shared;
-                chunks.push(bytes);
+    // All bands: fused under the fixed table.
+    let fused = run_bands(split.bands(), threads, sink, |session, band| {
+        session.set_config(worker_config)?;
+        session.set_next_band_index(band as u64);
+        match session.compress_slice_shared_fused(
+            split.slice(values, band),
+            &split.shape(band),
+            &shared,
+        )? {
+            Some((bytes, _)) => Ok((bytes, true)),
+            // Structural divergence: self-contained staged fallback under
+            // the caller's interval mode, so the band gets its own adaptive
+            // bits and table.
+            None => {
+                compress_band(session, pinned, &split, values, band).map(|bytes| (bytes, false))
             }
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
         }
-    }
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    let any_shared = fused.iter().any(|&(_, used_shared)| used_shared);
     Ok(ChunkedArchive {
-        dims,
-        chunks,
+        dims: dims.to_vec(),
+        chunks: fused.into_iter().map(|(bytes, _)| bytes).collect(),
         shared_table: any_shared.then(|| szr_huffman::serialize_codec(&shared)),
     })
 }
@@ -1134,70 +1126,25 @@ pub fn decompress_chunked_telemetry<T: ScalarFloat + Send + Sync>(
 /// Decodes every band of `archive` in parallel under `policy`, returning
 /// per-band results in band order. The shared codec (if any) is rebuilt
 /// once and lent to every worker; version-1 bands ignore it. A corrupt
-/// shared table is an error in strict/verify stitching but surfaces here as
-/// `Err` per shared-stream band, which is what salvage wants.
-#[allow(clippy::type_complexity)]
+/// shared table fails the whole decode before any band is touched.
 fn decode_bands<T: ScalarFloat + Send + Sync>(
     archive: &ChunkedArchive,
     threads: usize,
     policy: DecodePolicy,
     sink: Option<&RecordingSink>,
-) -> (Result<()>, Vec<Result<Tensor<T>>>) {
-    let threads = threads.clamp(1, archive.chunks.len().max(1));
-    let shared = match archive
+) -> Result<Vec<Result<Tensor<T>>>> {
+    let shared = archive
         .shared_table
         .as_deref()
         .map(szr_huffman::deserialize_codec)
         .transpose()
-    {
-        Ok(codec) => codec,
-        Err(e) => {
-            return (
-                Err(SzError::Corrupt(format!("shared huffman table: {e}"))),
-                Vec::new(),
-            )
-        }
-    };
-
-    // Decode bands in parallel, then stitch; band extents are re-derived
-    // from each chunk's own header so a corrupt archive fails loudly.
-    let sched = BandScheduler::new(archive.chunks.len(), threads);
-    let decoded: Vec<Mutex<Option<Result<Tensor<T>>>>> = (0..archive.chunks.len())
-        .map(|_| Mutex::new(None))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Mirror of the compress side's reuse: one decode-only
-                // session per worker, whose kernel cache (keyed on layer
-                // count and stride family) and symbol scratch serve every
-                // band the worker claims.
-                let mut session = CodecSession::<T>::decoder();
-                session.set_decode_policy(policy);
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let result = match &shared {
-                        Some(codec) => session.decompress_shared(&archive.chunks[band], codec),
-                        None => session.decompress(&archive.chunks[band]),
-                    };
-                    *decoded[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let results = decoded
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .unwrap()
-                .expect("every band is claimed exactly once")
-        })
-        .collect();
-    (Ok(()), results)
+        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))?;
+    Ok(run_bands(
+        archive.chunks.len(),
+        threads,
+        sink,
+        |session, band| decode_band(session, &archive.chunks[band], shared.as_ref(), policy),
+    ))
 }
 
 /// [`decompress_chunked_with_policy`] with optional telemetry.
@@ -1207,34 +1154,14 @@ pub fn decompress_chunked_policy_telemetry<T: ScalarFloat + Send + Sync>(
     policy: DecodePolicy,
     sink: Option<&RecordingSink>,
 ) -> Result<Tensor<T>> {
-    let shape = Shape::new(&archive.dims);
-    let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
     // Bound the output allocation by the bytes actually present before
     // trusting the container's declared dims.
-    check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
-    let mut out: Vec<T> = vec![T::from_f64(0.0); shape.len()];
-    let (setup, decoded) = decode_bands::<T>(archive, threads, policy, sink);
-    setup?;
-
-    let mut row = 0usize;
-    for cell in decoded {
-        let band = cell?;
-        if band.dims()[1..] != archive.dims[1..] {
-            return Err(SzError::Corrupt("band inner dimensions disagree".into()));
-        }
-        let rows = band.dims()[0];
-        if (row + rows) > archive.dims[0] {
-            return Err(SzError::Corrupt("bands overrun the original extent".into()));
-        }
-        out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-        row += rows;
-    }
-    if row != archive.dims[0] {
-        return Err(SzError::Corrupt(
-            "bands do not cover the original extent".into(),
-        ));
-    }
-    Ok(Tensor::from_vec(shape, out))
+    check_declared_len(
+        Shape::new(&archive.dims).len(),
+        archive.compressed_bytes() + 1,
+    )?;
+    let decoded = decode_bands::<T>(archive, threads, policy, sink)?;
+    stitch_bands(&archive.dims, None, decoded, None)
 }
 
 /// Decodes only bands `bands` of a *serialized* chunked archive, seeking
@@ -1265,6 +1192,19 @@ pub fn read_bands_indexed<T: ScalarFloat + Send + Sync>(
     threads: usize,
     policy: DecodePolicy,
 ) -> Result<Tensor<T>> {
+    read_rows(bytes, index, bands, None, threads, policy)
+}
+
+/// Decodes bands `bands` through `index` and stitches them, trimmed to
+/// `trim` (see [`stitch_bands`]).
+fn read_rows<T: ScalarFloat + Send + Sync>(
+    bytes: &[u8],
+    index: &BandIndex,
+    bands: Range<usize>,
+    trim: Option<(usize, usize)>,
+    threads: usize,
+    policy: DecodePolicy,
+) -> Result<Tensor<T>> {
     if bands.start >= bands.end || bands.end > index.entries.len() {
         return Err(SzError::InvalidConfig(
             "band range is empty or exceeds the band count",
@@ -1275,67 +1215,19 @@ pub fn read_bands_indexed<T: ScalarFloat + Send + Sync>(
         .map(szr_huffman::deserialize_codec)
         .transpose()
         .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))?;
-    let selected: Vec<usize> = bands.clone().collect();
-    let rows_total: usize = selected.iter().map(|&b| index.entries[b].rows).sum();
-    let row_elems: usize = index.dims[1..].iter().product::<usize>().max(1);
-    let mut out_dims = index.dims.clone();
-    out_dims[0] = rows_total;
-    let shape = Shape::new(&out_dims);
-    let threads = threads.clamp(1, selected.len());
-
-    let sched = BandScheduler::new(selected.len(), threads);
-    let decoded: Vec<Mutex<Option<Result<Tensor<T>>>>> =
-        (0..selected.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = CodecSession::<T>::decoder();
-                session.set_decode_policy(policy);
-                let w = sched.register();
-                while let Some(slot) = sched.next(w) {
-                    let result =
-                        index
-                            .band_slice(bytes, selected[slot])
-                            .and_then(|chunk| match &shared {
-                                Some(codec) => session.decompress_shared(chunk, codec),
-                                None => session.decompress(chunk),
-                            });
-                    *decoded[slot].lock().unwrap() = Some(result);
-                }
-            });
-        }
+    let decoded = run_bands(bands.len(), threads, None, |session, slot| {
+        index
+            .band_slice(bytes, bands.start + slot)
+            .and_then(|chunk| decode_band(session, chunk, shared.as_ref(), policy))
     });
-
-    let mut out: Vec<T> = vec![T::from_f64(0.0); shape.len()];
-    let mut row = 0usize;
-    for (slot, cell) in decoded.into_iter().enumerate() {
-        let band = cell
-            .into_inner()
-            .unwrap()
-            .expect("every selected band is claimed exactly once")?;
-        if band.dims()[1..] != index.dims[1..] {
-            return Err(SzError::Corrupt("band inner dimensions disagree".into()));
-        }
-        // The index's row extent located this band inside the tensor; a
-        // band that decodes to a different extent would mis-place every
-        // later row, so it is a hard error, not a silent shift.
-        if band.dims()[0] != index.entries[selected[slot]].rows {
-            return Err(SzError::Corrupt(
-                "index: band row extent disagrees with the decoded band".into(),
-            ));
-        }
-        let rows = band.dims()[0];
-        out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-        row += rows;
-    }
-    Ok(Tensor::from_vec(shape, out))
+    stitch_bands(&index.dims, Some(&index.entries[bands]), decoded, trim)
 }
 
 /// Decodes exactly the slowest-dimension rows `rows` of a serialized
 /// chunked archive: maps the row range onto the covering bands through the
-/// [`BandIndex`], decodes only those via [`read_bands_indexed`], and trims
-/// the stitched result to the requested rows. This is the ROI read the
-/// in-situ scenarios want — cost scales with the region, not the archive.
+/// [`BandIndex`], decodes only those, and trims the stitched result to the
+/// requested rows. This is the ROI read the in-situ scenarios want — cost
+/// scales with the region, not the archive.
 pub fn decompress_chunked_region<T: ScalarFloat + Send + Sync>(
     bytes: &[u8],
     rows: Range<usize>,
@@ -1344,19 +1236,8 @@ pub fn decompress_chunked_region<T: ScalarFloat + Send + Sync>(
 ) -> Result<Tensor<T>> {
     let index = band_index(bytes)?;
     let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
-    let stitched = read_bands_indexed::<T>(bytes, &index, bands, threads, policy)?;
-    let row_elems: usize = index.dims[1..].iter().product::<usize>().max(1);
-    let skip = rows.start - first_row;
-    let keep = rows.end - rows.start;
-    if stitched.dims()[0] < skip + keep {
-        return Err(SzError::Corrupt(
-            "index: covering bands hold fewer rows than declared".into(),
-        ));
-    }
-    let mut out_dims = index.dims.clone();
-    out_dims[0] = keep;
-    let out = stitched.as_slice()[skip * row_elems..(skip + keep) * row_elems].to_vec();
-    Ok(Tensor::from_vec(Shape::new(&out_dims), out))
+    let trim = (rows.start - first_row, rows.end - rows.start);
+    read_rows(bytes, &index, bands, Some(trim), threads, policy)
 }
 
 /// Decodes every intact band of a possibly-damaged [`ChunkedArchive`],
@@ -1393,7 +1274,8 @@ pub fn decompress_chunked_salvage_telemetry<T: ScalarFloat + Send + Sync>(
     let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
     check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
     let mut out: Vec<T> = vec![fill; shape.len()];
-    let (_, decoded) = decode_bands::<T>(archive, threads, DecodePolicy::Verify, sink);
+    let decoded =
+        decode_bands::<T>(archive, threads, DecodePolicy::Verify, sink).unwrap_or_default();
 
     let mut report = SalvageReport {
         bands: archive.chunks.len(),
@@ -1489,6 +1371,63 @@ mod tests {
         assert_eq!(band_ranges(0, 1), vec![]);
         assert_eq!(band_ranges(0, 8), vec![]);
         assert_eq!(band_ranges(0, 0), vec![]);
+    }
+
+    #[test]
+    fn band_split_slices_match_their_shapes() {
+        let values: Vec<u32> = (0..10 * 3).collect();
+        let split = BandSplit::new(&[10, 3], 3);
+        assert_eq!(split.bands(), 3);
+        assert_eq!(split.shape(1).dims(), &[3, 3]);
+        assert_eq!(split.slice(&values, 1), &values[12..21]);
+        assert_eq!(split.slice(&values, 2), &values[21..30]);
+        assert_eq!(BandSplit::new(&[0, 3], 4).bands(), 0);
+    }
+
+    #[test]
+    fn stitch_checks_extents_and_trims() {
+        let band = |rows: usize, cols: usize, base: f32| -> Result<Tensor<f32>> {
+            Ok(Tensor::from_fn([rows, cols], |ix| base + ix[0] as f32))
+        };
+        let corrupt = |result: Result<Tensor<f32>>| match result {
+            Err(SzError::Corrupt(msg)) => msg,
+            other => panic!(
+                "expected Corrupt, got {:?}",
+                other.map(|t| t.dims().to_vec())
+            ),
+        };
+        let whole = stitch_bands(&[5, 1], None, [band(2, 1, 0.0), band(3, 1, 10.0)], None);
+        assert_eq!(whole.unwrap().as_slice(), &[0.0, 1.0, 10.0, 11.0, 12.0]);
+        let msg = corrupt(stitch_bands(&[5, 1], None, [band(2, 2, 0.0)], None));
+        assert_eq!(msg, "band inner dimensions disagree");
+        let msg = corrupt(stitch_bands(
+            &[5, 1],
+            None,
+            [band(3, 1, 0.0), band(3, 1, 0.0)],
+            None,
+        ));
+        assert_eq!(msg, "bands overrun the original extent");
+        let msg = corrupt(stitch_bands(&[5, 1], None, [band(3, 1, 0.0)], None));
+        assert_eq!(msg, "bands do not cover the original extent");
+
+        let entry = |rows| BandIndexEntry {
+            offset: 0,
+            len: 0,
+            rows,
+        };
+        let entries = [entry(2), entry(3)];
+        let bands = || [band(2, 1, 0.0), band(3, 1, 10.0)];
+        let trimmed = stitch_bands(&[9, 1], Some(&entries), bands(), Some((1, 3))).unwrap();
+        assert_eq!(trimmed.dims(), &[3, 1]);
+        assert_eq!(trimmed.as_slice(), &[1.0, 10.0, 11.0]);
+        let msg = corrupt(stitch_bands(&[9, 1], Some(&entries), bands(), Some((3, 3))));
+        assert_eq!(msg, "index: covering bands hold fewer rows than declared");
+        let short = [band(2, 1, 0.0), band(2, 1, 0.0)];
+        let msg = corrupt(stitch_bands(&[9, 1], Some(&entries), short, None));
+        assert_eq!(
+            msg,
+            "index: band row extent disagrees with the decoded band"
+        );
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //!   `szr-planner` pick a per-band configuration so heterogeneous slabs
 //!   each get suitable layer counts and interval sizes;
 //!   `compress_chunked_fused` presamples one shared Huffman table and runs
-//!   the fused quantize→encode fast path per band. Every worker (both
+//!   the fused quantize→encode fast path per band. Every driver runs its
+//!   bands through one private worker runner in which each worker (both
 //!   directions) owns one `szr_core::CodecSession`, so kernels, quantize
 //!   buffers, and decode scratch are reused across all bands it claims.
+//!   The band task itself is public, and `szr-server` runs the same one:
+//!   [`BandSplit`] (the row split, band shapes and slices),
+//!   [`compress_band`] (arms the session with the job's config on every
+//!   call), [`decode_band`] (shared-table or self-contained band), and
+//!   [`stitch_bands`] (extent checks against the container or the band
+//!   index, row copy, optional region trim).
 //!   Serialized containers (v2) carry a CRC-sealed band index enabling
 //!   `read_bands` / `decompress_chunked_region` — ROI decode that costs
 //!   O(touched bands), never O(archive) — and header-only `peek_stat`;
@@ -35,13 +42,13 @@ mod scaling;
 mod scheduler;
 
 pub use chunked::{
-    band_index, compress_chunked, compress_chunked_fused, compress_chunked_fused_telemetry,
-    compress_chunked_planned, compress_chunked_planned_telemetry, compress_chunked_shared,
-    compress_chunked_shared_telemetry, compress_chunked_telemetry, decompress_chunked,
-    decompress_chunked_policy_telemetry, decompress_chunked_region, decompress_chunked_salvage,
-    decompress_chunked_salvage_telemetry, decompress_chunked_telemetry,
-    decompress_chunked_with_policy, read_bands, read_bands_indexed, BandIndex, BandIndexEntry,
-    ChunkedArchive, ChunkedStat,
+    band_index, compress_band, compress_chunked, compress_chunked_fused,
+    compress_chunked_fused_telemetry, compress_chunked_planned, compress_chunked_planned_telemetry,
+    compress_chunked_shared, compress_chunked_shared_telemetry, compress_chunked_telemetry,
+    decode_band, decompress_chunked, decompress_chunked_policy_telemetry,
+    decompress_chunked_region, decompress_chunked_salvage, decompress_chunked_salvage_telemetry,
+    decompress_chunked_telemetry, decompress_chunked_with_policy, read_bands, read_bands_indexed,
+    stitch_bands, BandIndex, BandIndexEntry, BandSplit, ChunkedArchive, ChunkedStat,
 };
 pub use io_model::{io_breakdown, IoBreakdown, IoModel};
 pub use scaling::{measure_scaling, model_cluster_scaling, ClusterModel, Direction, ScalingPoint};

@@ -14,6 +14,7 @@ use szr_core::{
 };
 use szr_datagen::Mutation;
 use szr_parallel::{decompress_chunked_salvage, decompress_chunked_with_policy, ChunkedArchive};
+use szr_server::{ArchiveService, Backpressure, ServiceConfig};
 use szr_tensor::Tensor;
 
 const EB: f64 = 1e-3;
@@ -368,6 +369,69 @@ fn truncation_errors_name_the_failing_section() {
                 "cut at {cut}: unnamed section in {msg:?}"
             ),
             Err(e) => panic!("cut at {cut}: unexpected error kind {e:?}"),
+        }
+    }
+}
+
+/// The archive service decodes hostile chunked archives exactly like the
+/// chunked drivers: under every mutator, a full decode and a region read
+/// through the service each return the driver's tensor, or both fail.
+///
+/// One disagreement is allowed: the driver's full decode walks the bands
+/// sequentially while the service seeks through the CRC-sealed index, so
+/// damage the index routes around (a band length prefix, say) can fail the
+/// walk while the service still decodes exactly the pristine tensor.
+#[test]
+fn service_decodes_mutated_archives_like_the_drivers() {
+    let pristine = chunked_archive_f32();
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 2,
+        queue_jobs: 4,
+        backpressure: Backpressure::Block,
+        session_config: Config::new(ErrorBound::Absolute(EB)),
+    })
+    .unwrap();
+    let bits = |t: &Tensor<f32>| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let full = |bytes: &[u8]| {
+        ChunkedArchive::from_bytes(bytes)
+            .and_then(|c| decompress_chunked_with_policy::<f32>(&c, 2, DecodePolicy::Verify))
+    };
+    let region = |bytes: &[u8]| {
+        szr_parallel::decompress_chunked_region::<f32>(bytes, 10..30, 2, DecodePolicy::Verify)
+    };
+    let pristine_full = bits(&full(&pristine).unwrap());
+    let pristine_region = bits(&region(&pristine).unwrap());
+
+    for mutation in Mutation::ALL {
+        for seed in 0..64u64 {
+            let mutated = std::sync::Arc::new(mutation.apply(&pristine, seed));
+            let service_full = svc
+                .submit_decompress(mutated.clone(), DecodePolicy::Verify, None)
+                .and_then(|h| h.wait());
+            let service_region = svc
+                .read_region(mutated.clone(), 10..30, DecodePolicy::Verify, None)
+                .and_then(|h| h.wait());
+            for (what, driver, service, pristine) in [
+                ("full", full(&mutated), service_full, &pristine_full),
+                ("region", region(&mutated), service_region, &pristine_region),
+            ] {
+                let case = format!("{what}/{}/seed {seed}", mutation.name());
+                match (driver, service) {
+                    (Ok(d), Ok(s)) => {
+                        assert_eq!(d.dims(), s.dims(), "{case}: dims differ");
+                        assert!(
+                            bits(&d) == bits(&s),
+                            "{case}: service drifted from the driver"
+                        );
+                    }
+                    (Err(_), Err(_)) => {}
+                    (Err(_), Ok(s)) => assert!(
+                        bits(&s) == *pristine,
+                        "{case}: the driver rejects, the service decodes a damaged tensor"
+                    ),
+                    (Ok(_), Err(e)) => panic!("{case}: the driver decodes, the service fails: {e}"),
+                }
+            }
         }
     }
 }

@@ -207,3 +207,50 @@ fn service_jobs_with_infinities_finish_instead_of_hanging() {
         .wait()
         .is_ok());
 }
+
+#[test]
+fn one_band_without_finite_values_fails_the_whole_job() {
+    // Rows 20..30 are band 2 of 4. Every other band has finite values and
+    // compresses, so the job must still fail as a whole, and the service
+    // pool must serve the next job as if nothing had happened.
+    let config = Config::new(ErrorBound::Relative(1e-4));
+    let clean = Tensor::from_fn([40, 32], |ix| {
+        ((ix[0] as f32) * 0.3).sin() * 10.0 + ix[1] as f32 * 0.1
+    });
+    let mut poisoned = clean.clone();
+    for (i, v) in poisoned.as_mut_slice()[20 * 32..30 * 32]
+        .iter_mut()
+        .enumerate()
+    {
+        *v = if i % 2 == 0 {
+            f32::INFINITY
+        } else {
+            f32::NEG_INFINITY
+        };
+    }
+    assert!(matches!(
+        compress_chunked(&poisoned, &config, 4, 2),
+        Err(SzError::InvalidInput(_))
+    ));
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 2,
+        queue_jobs: 4,
+        backpressure: Backpressure::Block,
+        session_config: config,
+    })
+    .unwrap();
+    match svc
+        .submit_compress(Arc::new(poisoned), config, 4, None)
+        .unwrap()
+        .wait()
+    {
+        Err(szr::server::ServiceError::Codec(SzError::InvalidInput(_))) => {}
+        other => panic!("expected InvalidInput, got {:?}", other.map(|b| b.len())),
+    }
+    let bytes = svc
+        .submit_compress(Arc::new(clean.clone()), config, 4, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(bytes == compress_chunked(&clean, &config, 4, 1).unwrap().to_bytes());
+}

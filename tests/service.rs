@@ -327,3 +327,50 @@ fn reject_backpressure_fails_fast_with_a_typed_error() {
     assert_eq!(svc.stats().rejected, 1);
     assert_eq!(svc.stats().completed, 0);
 }
+
+#[test]
+fn every_compress_job_runs_at_its_own_config_on_a_reused_session() {
+    // Regression: a compress task re-armed its pooled session only when the
+    // job's config differed from the pool's, while pooled sessions keep the
+    // last config set. A job at the pool config that followed a looser job
+    // on the same session therefore ran at the looser bound.
+    let tight = Config::new(ErrorBound::Absolute(1e-4));
+    let loose = Config::new(ErrorBound::Absolute(1e-1));
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 1,
+        queue_jobs: 4,
+        backpressure: Backpressure::Block,
+        session_config: tight,
+    })
+    .unwrap();
+    let data = Arc::new(field(2));
+    svc.submit_compress(Arc::clone(&data), loose, 4, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let bytes = svc
+        .submit_compress(Arc::clone(&data), tight, 4, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let reference = compress_chunked(&data, &tight, 4, 1).unwrap().to_bytes();
+    assert!(
+        bytes == reference,
+        "the second job must match the driver at its own config \
+         ({} bytes vs {} bytes)",
+        bytes.len(),
+        reference.len()
+    );
+    let restored: Tensor<f32> =
+        decompress_chunked(&ChunkedArchive::from_bytes(&bytes).unwrap(), 1).unwrap();
+    let max_err = data
+        .as_slice()
+        .iter()
+        .zip(restored.as_slice())
+        .map(|(&a, &b)| (a as f64 - b as f64).abs())
+        .fold(0.0, f64::max);
+    assert!(
+        max_err <= 1e-4,
+        "max error {max_err} exceeds the 1e-4 bound"
+    );
+}
