@@ -1,15 +1,13 @@
 //! Prediction benches — the engine behind Table II.
 //!
 //! Times the n-layer predictor per layer count (stencil evaluation over a
-//! full 2-D grid), the end-to-end hit-rate measurement, and the
-//! dimension-specialized [`ScanKernel`] against the generic stencil walker
-//! on interior-dominated fields (the tentpole speedup this workspace's
-//! refactor exists for).
+//! full 2-D grid) and the end-to-end hit-rate measurement. The row engine
+//! against the point walker lives in `benches/scan.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szr_core::{hit_rate_by_layer, predict_at, PredictionBasis, ScanKernel, StencilSet};
+use szr_core::{hit_rate_by_layer, predict_at, PredictionBasis, StencilSet};
 use szr_datagen::{atm, AtmVariable};
-use szr_tensor::{Shape, Tensor};
+use szr_tensor::Shape;
 
 fn bench_stencil_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("predict_full_grid");
@@ -48,56 +46,5 @@ fn bench_hit_rate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Specialized vs. generic `ScanKernel` on interior-dominated grids: a
-/// 512×512 2-D field and a 64³ 3-D field, n = 1 and n = 2. The scan stores
-/// each original value back (Original-basis traversal), isolating pure
-/// predict+traverse cost from quantization.
-fn bench_scan_kernels(c: &mut Criterion) {
-    let fields: [(&str, Vec<usize>); 2] = [
-        ("2d_512x512", vec![512, 512]),
-        ("3d_64x64x64", vec![64, 64, 64]),
-    ];
-    for (name, dims) in fields {
-        let shape = Shape::new(&dims);
-        let data = Tensor::from_fn(&dims[..], |ix| {
-            let s: usize = ix.iter().sum();
-            (s as f32 * 0.013).sin() * 40.0
-        });
-        let values = data.as_slice();
-        let mut group = c.benchmark_group(format!("scan_kernel/{name}"));
-        group.throughput(Throughput::Elements(shape.len() as u64));
-        for layers in 1..=2usize {
-            for (variant, generic) in [("specialized", false), ("generic", true)] {
-                let mut kernel = if generic {
-                    ScanKernel::generic(layers, shape.strides())
-                } else {
-                    ScanKernel::for_shape(layers, &shape)
-                };
-                let mut buf = values.to_vec();
-                group.bench_with_input(
-                    BenchmarkId::new(format!("n{layers}"), variant),
-                    &(),
-                    |b, ()| {
-                        b.iter(|| {
-                            let mut acc = 0.0f64;
-                            kernel.scan(&shape, &mut buf, |flat, pred| {
-                                acc += pred;
-                                values[flat]
-                            });
-                            acc
-                        })
-                    },
-                );
-            }
-        }
-        group.finish();
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_stencil_sweep,
-    bench_hit_rate,
-    bench_scan_kernels
-);
+criterion_group!(benches, bench_stencil_sweep, bench_hit_rate);
 criterion_main!(benches);

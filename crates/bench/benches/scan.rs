@@ -4,8 +4,8 @@
 //! Two layers of comparison on interior-dominated grids (512² and 64³):
 //!
 //! * `row_scan/*` — raw traversal cost: [`ScanKernel::scan_rows`] (partial
-//!   sums batched per row, carry folded in a scalar tail) vs the point
-//!   visitor `ScanKernel::scan`, prediction only.
+//!   sums batched per row, carry folded in a scalar tail) vs the generic
+//!   point walker `ScanKernel::scan`, prediction only.
 //! * `quantize/*` — the full first half of the pipeline:
 //!   `quantize_slice_with_kernel` (row path, batched hit test and code
 //!   emission) vs `quantize_slice_with_kernel_oracle` (point visitor).

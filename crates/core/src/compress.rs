@@ -47,9 +47,60 @@ pub(crate) const VERSION_ESCLZ: u8 = 5;
 /// section).
 pub(crate) const VERSION_SHARED_ESCLZ: u8 = 6;
 
-/// Whether a version byte denotes a checksummed (v3-framed) archive.
-pub(crate) fn versioned_checksums(version: u8) -> bool {
-    version >= VERSION_V3
+/// The band-archive framing a version byte selects. Parsed once from the
+/// byte and mapped back to it, so no other code decides what a version
+/// means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Framing {
+    /// The Huffman table lives in the owning container (versions 2, 4, 6).
+    pub shared: bool,
+    /// A header CRC and a `table CRC · payload CRC` trailer (versions 3–6).
+    pub checksummed: bool,
+    /// The escape section is stored DEFLATE-compressed (versions 5, 6;
+    /// defined only on checksummed framing).
+    pub escape_lz: bool,
+}
+
+impl Framing {
+    /// The framing both writers emit: always checksummed.
+    pub fn written(shared: bool, escape_lz: bool) -> Self {
+        Framing {
+            shared,
+            checksummed: true,
+            escape_lz,
+        }
+    }
+
+    /// Parses a version byte.
+    pub fn from_version(version: u8) -> Result<Self> {
+        let (shared, checksummed, escape_lz) = match version {
+            VERSION => (false, false, false),
+            VERSION_SHARED => (true, false, false),
+            VERSION_V3 => (false, true, false),
+            VERSION_SHARED_V3 => (true, true, false),
+            VERSION_ESCLZ => (false, true, true),
+            VERSION_SHARED_ESCLZ => (true, true, true),
+            v => return Err(crate::SzError::Corrupt(format!("unsupported version {v}"))),
+        };
+        Ok(Framing {
+            shared,
+            checksummed,
+            escape_lz,
+        })
+    }
+
+    /// The version byte that selects this framing.
+    pub fn version(self) -> u8 {
+        debug_assert!(self.checksummed || !self.escape_lz);
+        match (self.shared, self.checksummed, self.escape_lz) {
+            (false, false, _) => VERSION,
+            (true, false, _) => VERSION_SHARED,
+            (false, true, false) => VERSION_V3,
+            (true, true, false) => VERSION_SHARED_V3,
+            (false, true, true) => VERSION_ESCLZ,
+            (true, true, true) => VERSION_SHARED_ESCLZ,
+        }
+    }
 }
 
 /// Per-run statistics reported alongside the archive.
@@ -288,9 +339,9 @@ impl QuantBufs {
 /// of [`compress_slice_with_kernel`], exposed for drivers that entropy-code
 /// several bands together.
 ///
-/// Runs the row-granular fast path ([`ScanKernel::scan_rows`] +
-/// [`Quantizer::quantize_row`]) except in decorrelation mode, which carries
-/// per-index dither state and stays on the point visitor.
+/// Runs on the row engine ([`ScanKernel::scan_rows`]): batched through
+/// [`Quantizer::quantize_row`], or point by point in decorrelation mode,
+/// which dithers each reconstruction at its flat index.
 ///
 /// # Errors
 /// Same conditions as [`compress_slice_with_kernel`].
@@ -413,26 +464,30 @@ impl<T: ScalarFloat> RowVisitor<T> for RowQuantizer<'_, T> {
         } = &mut *self.bufs;
         let (values, quantizer, eb, unpred) = (self.values, &self.quantizer, self.eb, &self.unpred);
         let mut hits = 0usize;
-        let result: std::result::Result<(), Self::Error> = crate::simd::with_avx2(|| {
-            pair.fold(|lane, flat, pred| {
-                let value = values[flat];
-                match quantizer.quantize_narrowed(value.to_f64(), pred, eb) {
-                    Some((code, r)) => {
-                        codes[flat] = code;
-                        hits += 1;
-                        Ok(r)
+        let result: std::result::Result<(), Self::Error> = crate::simd::with_avx2(
+            // Inlined into the AVX2 trampoline (see `simd::with_avx2`).
+            #[inline(always)]
+            || {
+                pair.fold(|lane, flat, pred| {
+                    let value = values[flat];
+                    match quantizer.quantize_narrowed(value.to_f64(), pred, eb) {
+                        Some((code, r)) => {
+                            codes[flat] = code;
+                            hits += 1;
+                            Ok(r)
+                        }
+                        None => {
+                            let list = match lane {
+                                Lane::Lead => &mut *misses,
+                                Lane::Lag => &mut *lag_misses,
+                            };
+                            list.push((flat - start) as u32);
+                            Ok(unpred.reconstruction(value))
+                        }
                     }
-                    None => {
-                        let list = match lane {
-                            Lane::Lead => &mut *misses,
-                            Lane::Lag => &mut *lag_misses,
-                        };
-                        list.push((flat - start) as u32);
-                        Ok(unpred.reconstruction(value))
-                    }
-                }
-            })
-        });
+                })
+            },
+        );
         result?;
         self.predictable += hits;
         for &i in misses.iter().chain(lag_misses.iter()) {
@@ -441,6 +496,75 @@ impl<T: ScalarFloat> RowVisitor<T> for RowQuantizer<'_, T> {
         misses.clear();
         lag_misses.clear();
         Ok(())
+    }
+}
+
+/// The per-point quantization visitor: the oracle the row quantizer is
+/// pinned against (driven through [`ScanKernel::scan`]) and, with a dither
+/// scale, the decorrelation-mode visitor (driven through
+/// [`ScanKernel::scan_rows`], interior rows folded point by point in scan
+/// order so codes and escapes are emitted exactly as the oracle emits them).
+struct PointQuantizer<'a, T: ScalarFloat> {
+    values: &'a [T],
+    quantizer: Quantizer,
+    unpred: UnpredictableCodec,
+    eb: f64,
+    /// Decorrelation mode: each hit's reconstruction moves by
+    /// `dither_unit(flat) · scale` (the quantizer runs on `eb / 2`, so the
+    /// total error stays within `eb`).
+    dither: Option<f64>,
+    bufs: &'a mut QuantBufs,
+    predictable: usize,
+}
+
+impl<T: ScalarFloat> PointQuantizer<'_, T> {
+    #[inline(always)]
+    fn quantize(&mut self, flat: usize, pred: f64) -> T {
+        let value = self.values[flat];
+        let v64 = value.to_f64();
+        // A quantization hit must survive narrowing to T: the stored
+        // reconstruction is what the decompressor reproduces, so the bound
+        // is checked on the narrowed value.
+        let quantized = self.quantizer.quantize(v64, pred).and_then(|(code, r64)| {
+            let r64 = match self.dither {
+                Some(scale) => r64 + crate::quant::dither_unit(flat) * scale,
+                None => r64,
+            };
+            let r = T::from_f64(r64);
+            ((v64 - r.to_f64()).abs() <= self.eb).then_some((code, r))
+        });
+        match quantized {
+            Some((code, r)) => {
+                self.bufs.codes.push(code);
+                self.predictable += 1;
+                r
+            }
+            None => {
+                self.bufs.codes.push(0);
+                self.unpred.encode(value, &mut self.bufs.unpred)
+            }
+        }
+    }
+}
+
+impl<T: ScalarFloat> RowVisitor<T> for PointQuantizer<'_, T> {
+    type Error = std::convert::Infallible;
+
+    fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, Self::Error> {
+        Ok(self.quantize(flat, pred))
+    }
+
+    fn row(
+        &mut self,
+        flat: usize,
+        partials: &[f64],
+        carry: crate::kernel::Carry,
+        row: &mut [T],
+        prev: [T; 2],
+    ) -> std::result::Result<(), Self::Error> {
+        carry.fold(partials, prev, row, |i, pred| {
+            Ok(self.quantize(flat + i, pred))
+        })
     }
 }
 
@@ -534,44 +658,29 @@ pub(crate) fn quantize_into<T: ScalarFloat>(
     // Scan stage: the kernel owns the predict->visit traversal; the visitor
     // quantizes and records. Reconstructed values are stored back into the
     // scan buffer, feeding later predictions so the decompressor sees
-    // identical state. Decorrelation mode threads per-index dither through
-    // the point visitor; everything else batches row at a time.
+    // identical state. Decorrelation mode dithers each hit at its flat index
+    // through the per-point visitor; everything else runs the batched row
+    // quantizer. The point oracle drives the per-point visitor through the
+    // generic walker instead of the row engine.
     let predictable = if config.decorrelate || force_point_oracle {
-        let mut predictable = 0usize;
-        let codes = &mut bufs.codes;
-        let unpred_bits = &mut bufs.unpred;
-        kernel.scan(shape, recon, |flat, pred| {
-            let value = values[flat];
-            let v64 = value.to_f64();
-            // A quantization hit must survive narrowing to T: the stored
-            // reconstruction is what the decompressor reproduces, so the
-            // bound is checked on the narrowed value.
-            let quantized = quantizer.quantize(v64, pred).and_then(|(code, r64)| {
-                let r64 = if config.decorrelate {
-                    r64 + crate::quant::dither_unit(flat) * eb
-                } else {
-                    r64
-                };
-                let r = T::from_f64(r64);
-                if (v64 - r.to_f64()).abs() <= eb {
-                    Some((code, r))
-                } else {
-                    None
-                }
-            });
-            match quantized {
-                Some((code, r)) => {
-                    codes.push(code);
-                    predictable += 1;
-                    r
-                }
-                None => {
-                    codes.push(0);
-                    unpred.encode(value, unpred_bits)
-                }
+        let mut visitor = PointQuantizer {
+            values,
+            quantizer,
+            unpred,
+            eb,
+            dither: config.decorrelate.then_some(eb),
+            bufs,
+            predictable: 0,
+        };
+        if force_point_oracle {
+            kernel.scan(shape, recon, |flat, pred| visitor.quantize(flat, pred));
+        } else {
+            match kernel.scan_rows(shape, recon, &mut visitor) {
+                Ok(()) => {}
+                Err(e) => match e {},
             }
-        });
-        predictable
+        }
+        visitor.predictable
     } else {
         let mut visitor = RowQuantizer {
             values,
@@ -786,13 +895,13 @@ pub(crate) fn encode_quantized_sink(
 /// cannot drift.
 pub(crate) fn write_band_header(
     out: &mut ByteWriter,
-    version: u8,
+    framing: Framing,
     meta: &BandMeta,
     dims: &[usize],
 ) {
     let start = out.len();
     out.write_bytes(&MAGIC);
-    out.write_u8(version);
+    out.write_u8(framing.version());
     out.write_u8(meta.type_tag);
     out.write_u8(meta.layers as u8);
     out.write_u8(meta.interval_bits as u8);
@@ -802,7 +911,7 @@ pub(crate) fn write_band_header(
     for &d in dims {
         out.write_varint(d as u64);
     }
-    if versioned_checksums(version) {
+    if framing.checksummed {
         // v3 framing: the header section is sealed by a CRC-32 over exactly
         // the bytes above, hashed in place from the output buffer.
         let crc = szr_deflate::crc32(&out.as_bytes()[start..]);
@@ -883,17 +992,12 @@ pub(crate) fn encode_parts(
     // Bands where the flag is off — or the trial loses — emit v3/v4
     // byte-identically.
     let esc_commit = meta.escape_lz && escape_lz_trial(entropy, unpred_block, sink);
-    let version = match (shared, esc_commit) {
-        (false, false) => VERSION_V3,
-        (false, true) => VERSION_ESCLZ,
-        (true, false) => VERSION_SHARED_V3,
-        (true, true) => VERSION_SHARED_ESCLZ,
-    };
+    let framing = Framing::written(shared, esc_commit);
     let EntropyScratch { deflater, escape } = entropy;
     let escape_section: &[u8] = if esc_commit { escape } else { unpred_block };
 
     let mut out = ByteWriter::with_capacity(huffman_block.len() + escape_section.len() + 64);
-    let ((), header_nanos) = timed(tele, || write_band_header(&mut out, version, meta, dims));
+    let ((), header_nanos) = timed(tele, || write_band_header(&mut out, framing, meta, dims));
     let header_bytes = out.len() as u64;
     // Payload: the two sections, optionally behind SZ's "best compression"
     // DEFLATE pass (the Huffman stream has a 1-bit/symbol floor that

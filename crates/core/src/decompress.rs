@@ -1,9 +1,6 @@
 //! Decompression: replay the prediction loop from reconstructed values.
 
-use crate::compress::{
-    versioned_checksums, MAGIC, VERSION, VERSION_ESCLZ, VERSION_SHARED, VERSION_SHARED_ESCLZ,
-    VERSION_SHARED_V3, VERSION_V3,
-};
+use crate::compress::{Framing, MAGIC};
 use crate::float::ScalarFloat;
 use crate::kernel::ScanKernel;
 use crate::quant::Quantizer;
@@ -141,15 +138,10 @@ struct Header {
     layers: usize,
     interval_bits: u32,
     decorrelate: bool,
-    /// Shared-stream archive: the Huffman table lives in the owning
-    /// container.
-    shared_stream: bool,
-    /// v3 framing: the archive carries section checksums.
-    checksummed: bool,
-    /// v5/v6 framing: the escape section is stored DEFLATE-compressed (the
-    /// encoder's escape-LZ trial won) and must be inflated before use. The
-    /// trailer's payload CRC covers the *inflated* escape bytes.
-    escape_lz: bool,
+    /// What the version byte selects. Under escape-LZ framing (the
+    /// encoder's trial won) the escape section must be inflated before use,
+    /// and the trailer's payload CRC covers the *inflated* escape bytes.
+    framing: Framing,
     /// Stored vs recomputed header CRC agreement (`None` for v1/v2).
     /// Recorded during the parse, acted on by the caller's policy.
     header_crc_ok: Option<bool>,
@@ -165,24 +157,7 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
     if magic != MAGIC {
         return Err(SzError::Corrupt("bad magic bytes".into()));
     }
-    let version = reader.read_u8()?;
-    if !matches!(
-        version,
-        VERSION
-            | VERSION_SHARED
-            | VERSION_V3
-            | VERSION_SHARED_V3
-            | VERSION_ESCLZ
-            | VERSION_SHARED_ESCLZ
-    ) {
-        return Err(SzError::Corrupt(format!("unsupported version {version}")));
-    }
-    let shared_stream = matches!(
-        version,
-        VERSION_SHARED | VERSION_SHARED_V3 | VERSION_SHARED_ESCLZ
-    );
-    let checksummed = versioned_checksums(version);
-    let escape_lz = matches!(version, VERSION_ESCLZ | VERSION_SHARED_ESCLZ);
+    let framing = Framing::from_version(reader.read_u8()?)?;
     let type_tag = reader.read_u8()?;
     let layers = reader.read_u8()? as usize;
     let interval_bits = reader.read_u8()? as u32;
@@ -218,7 +193,7 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
         }
         *slot = d;
     }
-    let header_crc_ok = if checksummed {
+    let header_crc_ok = if framing.checksummed {
         let consumed = bytes.len() - reader.remaining();
         let computed = szr_deflate::crc32(&bytes[..consumed]);
         let stored = reader.read_u32()?;
@@ -231,9 +206,7 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
         layers,
         interval_bits,
         decorrelate,
-        shared_stream,
-        checksummed,
-        escape_lz,
+        framing,
         header_crc_ok,
         eb,
         shape: Shape::new(&dims[..ndim]),
@@ -302,9 +275,9 @@ fn info_from(header: &Header, archive_bytes: usize) -> ArchiveInfo {
         layers: header.layers,
         interval_bits: header.interval_bits,
         decorrelated: header.decorrelate,
-        shared_stream: header.shared_stream,
-        checksummed: header.checksummed,
-        escape_lz: header.escape_lz,
+        shared_stream: header.framing.shared,
+        checksummed: header.framing.checksummed,
+        escape_lz: header.framing.escape_lz,
         archive_bytes,
     }
 }
@@ -395,7 +368,7 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
     // CRC covers the inflated bytes, so inflate before the check and report
     // the inflated size below.
     let esc_inflated;
-    let unpred_block: &[u8] = if header.escape_lz {
+    let unpred_block: &[u8] = if header.framing.escape_lz {
         let mut buf = Vec::new();
         szr_deflate::deflate_decompress_into(unpred_block, &mut buf)
             .map_err(|e| SzError::Corrupt(format!("escape: {e}")))?;
@@ -404,7 +377,7 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
     } else {
         unpred_block
     };
-    if header.checksummed {
+    if header.framing.checksummed {
         let table_crc = reader
             .read_u32()
             .map_err(|e| in_section("table", e.into()))?;
@@ -419,7 +392,7 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
         }
     }
     let total = info.len();
-    let (count, code_stream_bytes, table_symbols, table_depth) = if header.shared_stream {
+    let (count, code_stream_bytes, table_symbols, table_depth) = if header.framing.shared {
         let block = szr_huffman::parse_shared_block(huffman_block)
             .map_err(|e| in_section("table", e.into()))?;
         (block.count, block.payload.len(), None, None)
@@ -713,7 +686,7 @@ pub fn decompress_shared_with_kernel<T: ScalarFloat>(
 /// intermediate symbol vector is never materialized, and the per-row
 /// offset/escape work runs through the SIMD batch kernels. With `staged`
 /// true (the oracle path, and always in decorrelation mode) the whole
-/// stream decodes into `scratch.codes` first.
+/// stream decodes into `scratch.codes` first and [`RowDecoder`] replays it.
 #[allow(clippy::too_many_arguments)]
 fn decompress_parsed<T: ScalarFloat>(
     header: Header,
@@ -790,7 +763,7 @@ fn decompress_parsed<T: ScalarFloat>(
     // escape-LZ trial won); inflate it before the CRC check, which covers
     // the raw escape bytes so corruption anywhere in the stored section
     // still surfaces as a named mismatch rather than garbage values.
-    let unpred_block: &[u8] = if header.escape_lz {
+    let unpred_block: &[u8] = if header.framing.escape_lz {
         let (res, nanos) = timed(tele, || {
             szr_deflate::deflate_decompress_into(unpred_block, escape)
         });
@@ -802,7 +775,7 @@ fn decompress_parsed<T: ScalarFloat>(
     } else {
         unpred_block
     };
-    if header.checksummed {
+    if header.framing.checksummed {
         // v3 trailer: section CRCs are part of the framing, so their
         // presence is required under every policy; recomputation happens
         // only when the policy verifies.
@@ -844,11 +817,11 @@ fn decompress_parsed<T: ScalarFloat>(
     let unpred_bits = BitReader::new(unpred_block);
     let mut recon: Vec<T> = vec![T::from_f64(0.0); total];
 
-    // Decorrelation threads per-index dither through the point visitor and
-    // stays staged; everything else decodes fused unless the caller asked
-    // for the oracle path.
+    // Decorrelation dithers every reconstruction at its flat index, which
+    // the fused decoder's batched offsets do not; it decodes staged, like
+    // the oracle path.
     if !header.decorrelate && !staged {
-        let (block, codec) = if header.shared_stream {
+        let (block, codec) = if header.framing.shared {
             let codec = codec.ok_or_else(|| {
                 SzError::Corrupt("archive needs its container's shared huffman table".into())
             })?;
@@ -917,7 +890,7 @@ fn decompress_parsed<T: ScalarFloat>(
         return Ok(Tensor::from_vec(header.shape, recon));
     }
 
-    if header.shared_stream {
+    if header.framing.shared {
         let codec = codec.ok_or_else(|| {
             SzError::Corrupt("archive needs its container's shared huffman table".into())
         })?;
@@ -935,58 +908,22 @@ fn decompress_parsed<T: ScalarFloat>(
             total
         )));
     }
-    let mut unpred_bits = unpred_bits;
-
-    if header.decorrelate {
-        // Decorrelation mode threads per-index dither through the point
-        // visitor, which cannot early-return: an out-of-alphabet code or a
-        // malformed unpredictable section parks its error and the remaining
-        // points decode as zero before the error surfaces (corrupt archives
-        // only; valid archives never hit this).
-        let mut decode_err: Option<SzError> = None;
-        kernel.scan(&header.shape, &mut recon, |flat, pred| {
-            if decode_err.is_some() {
-                return T::from_f64(0.0);
-            }
-            let code = codes[flat];
-            if code >= alphabet {
-                decode_err = Some(SzError::Corrupt(format!("code {code} outside alphabet")));
-                T::from_f64(0.0)
-            } else if code == 0 {
-                match unpred.decode(&mut unpred_bits) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        decode_err = Some(e.into());
-                        T::from_f64(0.0)
-                    }
-                }
-            } else {
-                let mut r64 = quantizer.reconstruct(code, pred);
-                r64 += crate::quant::dither_unit(flat) * header.eb;
-                T::from_f64(r64)
-            }
-        });
-        if let Some(e) = decode_err {
-            return Err(e);
-        }
-    } else {
-        // The hot path: row-granular reconstruction through the fallible
-        // row scan, which aborts at the first corrupt symbol instead of
-        // decoding the full grid.
-        let mut visitor = RowDecoder {
-            codes,
-            alphabet,
-            quantizer,
-            unpred,
-            bits: unpred_bits,
-        };
-        kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
-    }
+    // Row-granular reconstruction through the fallible row scan, which
+    // aborts at the first corrupt symbol instead of decoding the full grid.
+    let mut visitor = RowDecoder {
+        codes,
+        alphabet,
+        quantizer,
+        unpred,
+        bits: unpred_bits,
+        dither: header.decorrelate.then_some(header.eb),
+    };
+    kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
 
     Ok(Tensor::from_vec(header.shape, recon))
 }
 
-/// Row-path decode visitor: interior rows reconstruct in a tight
+/// Staged decode visitor: interior rows reconstruct in a tight
 /// carry-folding loop; the first bad symbol aborts the whole scan.
 struct RowDecoder<'a> {
     codes: &'a [u32],
@@ -994,21 +931,34 @@ struct RowDecoder<'a> {
     quantizer: Quantizer,
     unpred: UnpredictableCodec,
     bits: BitReader<'a>,
+    /// Decorrelation mode: each reconstruction moves by
+    /// `dither_unit(flat) · scale`, replaying the compressor's dither.
+    dither: Option<f64>,
+}
+
+impl RowDecoder<'_> {
+    #[inline(always)]
+    fn decode<T: ScalarFloat>(&mut self, flat: usize, pred: f64) -> Result<T> {
+        let code = self.codes[flat];
+        if code == 0 {
+            Ok(self.unpred.decode(&mut self.bits)?)
+        } else if code < self.alphabet {
+            let r64 = self.quantizer.reconstruct(code, pred);
+            Ok(T::from_f64(match self.dither {
+                Some(scale) => r64 + crate::quant::dither_unit(flat) * scale,
+                None => r64,
+            }))
+        } else {
+            Err(SzError::Corrupt(format!("code {code} outside alphabet")))
+        }
+    }
 }
 
 impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_> {
     type Error = SzError;
 
     fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, SzError> {
-        let code = self.codes[flat];
-        if code >= self.alphabet {
-            return Err(SzError::Corrupt(format!("code {code} outside alphabet")));
-        }
-        if code == 0 {
-            Ok(self.unpred.decode(&mut self.bits)?)
-        } else {
-            Ok(T::from_f64(self.quantizer.reconstruct(code, pred)))
-        }
+        self.decode(flat, pred)
     }
 
     fn row(
@@ -1019,17 +969,7 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_> {
         row: &mut [T],
         prev: [T; 2],
     ) -> std::result::Result<(), SzError> {
-        let codes = &self.codes[flat..flat + row.len()];
-        carry.fold(partials, prev, row, |i, pred| {
-            let code = codes[i];
-            if code == 0 {
-                Ok(self.unpred.decode::<T>(&mut self.bits)?)
-            } else if code < self.alphabet {
-                Ok(T::from_f64(self.quantizer.reconstruct(code, pred)))
-            } else {
-                Err(SzError::Corrupt(format!("code {code} outside alphabet")))
-            }
-        })
+        carry.fold(partials, prev, row, |i, pred| self.decode(flat + i, pred))
     }
 }
 
@@ -1259,6 +1199,7 @@ mod inspect_tests {
 #[cfg(test)]
 mod escape_lz_tests {
     use super::*;
+    use crate::compress::{VERSION_ESCLZ, VERSION_V3};
     use crate::{compress, Config, ErrorBound};
 
     /// Values from a tiny alphabet of wildly separated magnitudes: nearly

@@ -1,4 +1,4 @@
-//! The dimension-specialized predict→quantize scan pipeline.
+//! The predict→quantize scan pipeline.
 //!
 //! Every stage of the codec — compression, decompression, the adaptive
 //! interval sampler, and the hit-rate estimators — performs the same
@@ -8,21 +8,21 @@
 //!
 //! A kernel is instantiated per *(layer count, stride family)*, not per
 //! point. For the dominant configurations — 1-D/2-D/3-D grids with `n = 1`
-//! (the Lorenzo predictor, the paper's default) or `n = 2` — the kernel
-//! dispatches to closed-form loops whose Eq. 11 coefficients are unrolled as
-//! constants, with an explicit interior fast path and a boundary slow path.
-//! Everything else falls back to the generic [`StencilSet`] walker, so any
+//! (the Lorenzo predictor, the paper's default) or `n = 2` — construction
+//! builds the row engine's per-row-class stencil plans once. Everything
+//! else runs per point through the generic [`StencilSet`] walker, so any
 //! `(d, n)` the config layer validates still works.
 //!
 //! Because bands of a chunked tensor share their inner extents (and
 //! therefore their strides), one kernel instance serves every band a
-//! parallel worker compresses: [`ScanKernel::scan`] takes the band's
-//! [`Shape`] per call and only the stride family is baked in.
+//! parallel worker compresses: each scan takes the band's [`Shape`] per
+//! call and only the stride family is baked in.
 //!
 //! ## Row-granular traversal
 //!
-//! [`ScanKernel::scan`] drives a per-point visitor — the slow-path *oracle*
-//! the property tests pin everything against. The hot paths run through
+//! [`ScanKernel::scan`] drives a per-point visitor through the generic
+//! walker — the *oracle* the property tests pin everything against; no
+//! codec path runs on it. Every codec path runs through
 //! [`ScanKernel::scan_rows`] instead, which exploits the structure of a
 //! row-major Eq. 11 scan: for an interior row, every stencil term except the
 //! pure last-axis (loop-carried) neighbors reads an *already-finished* row,
@@ -58,11 +58,10 @@
 //! write-back feedback, even the in-row terms are batchable, so interior
 //! rows arrive as fully materialized prediction slices.
 //!
-//! The specialized paths evaluate terms in the same order as
-//! [`predict_at`] over a built [`Stencil`], so specialized, generic, row,
-//! and point traversals all produce identical codes and therefore
-//! byte-identical archives — pinned down by the property tests at the
-//! bottom of this file.
+//! The row engine evaluates terms in the same order as [`predict_at`] over
+//! a built [`Stencil`], so row and point traversals produce identical codes
+//! and therefore byte-identical archives — pinned down by the property
+//! tests at the bottom of this file.
 
 use crate::float::ScalarFloat;
 use crate::predict::{predict_at, Stencil, StencilSet};
@@ -363,7 +362,8 @@ fn carry_seed<T: ScalarFloat>(buf: &[T], seg: usize, n: usize) -> [T; 2] {
 /// Which traversal implementation a [`ScanKernel`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Closed-form loops for `ndim ∈ 1..=3`, `layers ∈ 1..=2`.
+    /// The row engine (and the closed-form sparse interval sampler) for
+    /// `ndim ∈ 1..=3`, `layers ∈ 1..=2`.
     Specialized {
         /// Grid rank.
         ndim: u8,
@@ -376,18 +376,19 @@ pub enum KernelKind {
 
 /// One predict→visit traversal engine, reusable across same-stride grids.
 ///
-/// Construction picks the implementation once; [`ScanKernel::scan`] then
-/// drives a visitor over every point. The visitor receives `(flat, pred)`
-/// and returns the value to store at `flat` — the value later predictions
-/// read, which is how the compressor feeds reconstructed (not original)
-/// values forward exactly like the decompressor will.
+/// Construction picks the implementation once; [`ScanKernel::scan_rows`]
+/// then drives a visitor over every point. The visitor receives each
+/// point's prediction (or a row segment's partial sums) and returns the
+/// value to store — the value later predictions read, which is how the
+/// compressor feeds reconstructed (not original) values forward exactly
+/// like the decompressor will.
 pub struct ScanKernel {
     layers: usize,
     strides: Vec<usize>,
     kind: KernelKind,
     stencils: StencilSet,
-    /// Interior stencil terms for the 3-D two-layer fast path (26 terms:
-    /// looped over a dense slice instead of hand-unrolled).
+    /// Interior stencil terms for the sparse interval sampler's 3-D
+    /// two-layer case (26 terms, looped over a dense slice).
     interior_terms: Vec<(usize, f64)>,
     /// Per-row-class plans for the row-granular traversals, indexed by the
     /// clamped leading coordinates (empty for generic kernels).
@@ -433,7 +434,7 @@ impl ScanKernel {
 
     /// Builds a kernel that always uses the generic stencil walker, even for
     /// shapes a specialized kernel covers — the equivalence baseline used by
-    /// the property tests and the `scan_kernel` benchmark.
+    /// the property tests.
     pub fn generic(layers: usize, strides: &[usize]) -> Self {
         Self::with_kind(layers, strides, KernelKind::Generic)
     }
@@ -476,7 +477,7 @@ impl ScanKernel {
             Vec::new()
         };
         // Row classes: clamped leading coordinates, full last-axis layers.
-        // At most (n+1)^(d−1) ≤ 9 tiny stencils for the specialized kinds.
+        // At most (n+1)^(d−1) ≤ 9 tiny stencils for the row-engine kinds.
         let row_plans = if matches!(kind, KernelKind::Specialized { .. }) {
             let lead = d - 1;
             let classes = (layers + 1).pow(lead as u32);
@@ -532,18 +533,21 @@ impl ScanKernel {
         shape.strides() == &self.strides[..]
     }
 
-    /// Drives `visit` over every point of `shape` in row-major order.
+    /// Drives `visit` over every point of `shape` in row-major order — the
+    /// generic point walker, the oracle the row engine is pinned against.
     ///
     /// For each flat index the kernel computes the Eq. 11 prediction from
-    /// the values already written to `buf` and stores the visitor's return
-    /// value back at that index.
+    /// the values already written to `buf` (through the cached boundary
+    /// stencils, for every grid family) and stores the visitor's return
+    /// value back at that index. No codec path runs on it; the row-granular
+    /// [`ScanKernel::scan_rows`] produces bit-identical predictions.
     ///
     /// # Panics
     /// Panics if `shape` is outside this kernel's grid family or `buf` is
     /// not exactly `shape.len()` long. The check is O(rank) per scan (not
-    /// per point) and guards the specialized paths' unchecked stride
-    /// arithmetic in release builds too.
-    pub fn scan<T, F>(&mut self, shape: &Shape, buf: &mut [T], visit: F)
+    /// per point) and guards the row engine's unchecked stride arithmetic
+    /// in release builds too.
+    pub fn scan<T, F>(&mut self, shape: &Shape, buf: &mut [T], mut visit: F)
     where
         T: ScalarFloat,
         F: FnMut(usize, f64) -> T,
@@ -554,35 +558,11 @@ impl ScanKernel {
             self.strides
         );
         assert_eq!(buf.len(), shape.len(), "buffer length does not match shape");
-        match self.kind {
-            KernelKind::Specialized { ndim: 1, layers: 1 } => {
-                scan_1d_n1(shape.dims()[0], buf, visit)
-            }
-            KernelKind::Specialized { ndim: 1, layers: 2 } => {
-                scan_1d_n2(shape.dims()[0], buf, visit)
-            }
-            KernelKind::Specialized { ndim: 2, layers: 1 } => scan_2d_n1(
-                shape.dims()[0],
-                shape.dims()[1],
-                self.strides[0],
-                buf,
-                visit,
-            ),
-            KernelKind::Specialized { ndim: 2, layers: 2 } => self.scan_2d_n2(shape, buf, visit),
-            KernelKind::Specialized { ndim: 3, layers: 1 } => {
-                let d = shape.dims();
-                scan_3d_n1(
-                    d[0],
-                    d[1],
-                    d[2],
-                    self.strides[0],
-                    self.strides[1],
-                    buf,
-                    visit,
-                )
-            }
-            KernelKind::Specialized { ndim: 3, layers: 2 } => self.scan_3d_n2(shape, buf, visit),
-            _ => self.scan_generic(shape, buf, visit),
+        let walked: std::result::Result<(), std::convert::Infallible> =
+            self.walk(shape, buf, |flat, pred| Ok(visit(flat, pred)));
+        match walked {
+            Ok(()) => {}
+            Err(e) => match e {},
         }
     }
 
@@ -623,16 +603,7 @@ impl ScanKernel {
         assert_eq!(buf.len(), shape.len(), "buffer length does not match shape");
         match self.kind {
             KernelKind::Specialized { .. } => self.scan_rows_specialized(shape, buf, visitor),
-            KernelKind::Generic => {
-                let mut index = vec![0usize; shape.ndim()];
-                for flat in 0..buf.len() {
-                    let stencil = self.stencils.for_index(&index);
-                    let pred = predict_at(buf, flat, stencil);
-                    buf[flat] = visitor.point(flat, pred)?;
-                    shape.advance(&mut index);
-                }
-                Ok(())
-            }
+            KernelKind::Generic => self.walk(shape, buf, |flat, pred| visitor.point(flat, pred)),
         }
     }
 
@@ -921,14 +892,12 @@ impl ScanKernel {
 
     /// Drives `visit` over every point of `shape` in row-major order,
     /// predicting each point from the *original* values in `data` without
-    /// writing anything back — the read-only sibling of [`ScanKernel::scan`].
+    /// writing anything back — the read-only sibling of [`ScanKernel::scan`]
+    /// and, like it, the generic point walker for every grid family.
     ///
-    /// This is the traversal behind [`crate::hit_rate_by_layer`] with
-    /// [`crate::PredictionBasis::Original`] and the planner's offset
-    /// statistics: both want full-grid original-value prediction (borders
-    /// included) and previously paid an input copy to reuse the write-back
-    /// scan. Dispatch mirrors [`ScanKernel::scan`], so the specialized
-    /// closed-form loops serve the same grid families.
+    /// It is the per-point oracle for [`ScanKernel::readonly_rows`], which
+    /// is the traversal [`crate::hit_rate_by_layer`] actually runs for
+    /// [`crate::PredictionBasis::Original`].
     ///
     /// # Panics
     /// Panics if `shape` is outside this kernel's grid family or `data` is
@@ -944,40 +913,7 @@ impl ScanKernel {
             self.strides
         );
         assert_eq!(data.len(), shape.len(), "data length does not match shape");
-        match self.kind {
-            KernelKind::Specialized { ndim: 1, layers: 1 } => {
-                readonly_1d_n1(shape.dims()[0], data, visit)
-            }
-            KernelKind::Specialized { ndim: 1, layers: 2 } => {
-                readonly_1d_n2(shape.dims()[0], data, visit)
-            }
-            KernelKind::Specialized { ndim: 2, layers: 1 } => readonly_2d_n1(
-                shape.dims()[0],
-                shape.dims()[1],
-                self.strides[0],
-                data,
-                visit,
-            ),
-            KernelKind::Specialized { ndim: 2, layers: 2 } => {
-                self.readonly_2d_n2(shape, data, visit)
-            }
-            KernelKind::Specialized { ndim: 3, layers: 1 } => {
-                let d = shape.dims();
-                readonly_3d_n1(
-                    d[0],
-                    d[1],
-                    d[2],
-                    self.strides[0],
-                    self.strides[1],
-                    data,
-                    visit,
-                )
-            }
-            KernelKind::Specialized { ndim: 3, layers: 2 } => {
-                self.readonly_3d_n2(shape, data, visit)
-            }
-            _ => self.readonly_generic(shape, data, visit),
-        }
+        self.readonly_generic(shape, data, visit)
     }
 
     /// Visits every *interior* point whose flat index is a multiple of
@@ -1173,80 +1109,27 @@ impl ScanKernel {
         predict_at(buf, flat, stencil)
     }
 
-    fn scan_generic<T, F>(&mut self, shape: &Shape, buf: &mut [T], mut visit: F)
+    /// The generic point walker behind [`ScanKernel::scan`] and the
+    /// generic-kernel [`ScanKernel::scan_rows`]: every point's prediction
+    /// through the cached per-index stencil, aborting at `visit`'s first
+    /// error.
+    fn walk<T, E>(
+        &mut self,
+        shape: &Shape,
+        buf: &mut [T],
+        mut visit: impl FnMut(usize, f64) -> std::result::Result<T, E>,
+    ) -> std::result::Result<(), E>
     where
         T: ScalarFloat,
-        F: FnMut(usize, f64) -> T,
     {
         let mut index = vec![0usize; shape.ndim()];
         for flat in 0..buf.len() {
             let stencil = self.stencils.for_index(&index);
             let pred = predict_at(buf, flat, stencil);
-            buf[flat] = visit(flat, pred);
+            buf[flat] = visit(flat, pred)?;
             shape.advance(&mut index);
         }
-    }
-
-    fn scan_2d_n2<T, F>(&mut self, shape: &Shape, buf: &mut [T], mut visit: F)
-    where
-        T: ScalarFloat,
-        F: FnMut(usize, f64) -> T,
-    {
-        let (d0, d1) = (shape.dims()[0], shape.dims()[1]);
-        let s0 = self.strides[0];
-        for i in 0..d0 {
-            let row = i * s0;
-            let fast_row = i >= 2;
-            let border_cols = if fast_row { d1.min(2) } else { d1 };
-            for j in 0..border_cols {
-                let f = row + j;
-                let pred = self.slow_pred(&[i, j], buf, f);
-                buf[f] = visit(f, pred);
-            }
-            if fast_row {
-                for j in 2..d1 {
-                    let f = row + j;
-                    let pred = two_layer_2d(buf, f, s0);
-                    buf[f] = visit(f, pred);
-                }
-            }
-        }
-    }
-
-    fn scan_3d_n2<T, F>(&mut self, shape: &Shape, buf: &mut [T], mut visit: F)
-    where
-        T: ScalarFloat,
-        F: FnMut(usize, f64) -> T,
-    {
-        let (d0, d1, d2) = (shape.dims()[0], shape.dims()[1], shape.dims()[2]);
-        let (s0, s1) = (self.strides[0], self.strides[1]);
-        // Copy the 26 interior terms to the stack: reading them through
-        // `&self` inside the hot loop would alias-block hoisting against the
-        // `buf` writes.
-        let mut terms = [(0usize, 0.0f64); 26];
-        terms.copy_from_slice(&self.interior_terms);
-        for i in 0..d0 {
-            for j in 0..d1 {
-                let base = i * s0 + j * s1;
-                let fast_pencil = i >= 2 && j >= 2;
-                let border_depth = if fast_pencil { d2.min(2) } else { d2 };
-                for k in 0..border_depth {
-                    let f = base + k;
-                    let pred = self.slow_pred(&[i, j, k], buf, f);
-                    buf[f] = visit(f, pred);
-                }
-                if fast_pencil {
-                    for k in 2..d2 {
-                        let f = base + k;
-                        let mut pred = 0.0f64;
-                        for &(off, coeff) in &terms {
-                            pred += coeff * buf[f - off].to_f64();
-                        }
-                        buf[f] = visit(f, pred);
-                    }
-                }
-            }
-        }
+        Ok(())
     }
 
     fn readonly_generic<T, F>(&mut self, shape: &Shape, data: &[T], mut visit: F)
@@ -1259,64 +1142,6 @@ impl ScanKernel {
             let stencil = self.stencils.for_index(&index);
             visit(flat, predict_at(data, flat, stencil));
             shape.advance(&mut index);
-        }
-    }
-
-    fn readonly_2d_n2<T, F>(&mut self, shape: &Shape, data: &[T], mut visit: F)
-    where
-        T: ScalarFloat,
-        F: FnMut(usize, f64),
-    {
-        let (d0, d1) = (shape.dims()[0], shape.dims()[1]);
-        let s0 = self.strides[0];
-        for i in 0..d0 {
-            let row = i * s0;
-            let fast_row = i >= 2;
-            let border_cols = if fast_row { d1.min(2) } else { d1 };
-            for j in 0..border_cols {
-                let f = row + j;
-                let pred = self.slow_pred(&[i, j], data, f);
-                visit(f, pred);
-            }
-            if fast_row {
-                for j in 2..d1 {
-                    let f = row + j;
-                    visit(f, two_layer_2d(data, f, s0));
-                }
-            }
-        }
-    }
-
-    fn readonly_3d_n2<T, F>(&mut self, shape: &Shape, data: &[T], mut visit: F)
-    where
-        T: ScalarFloat,
-        F: FnMut(usize, f64),
-    {
-        let (d0, d1, d2) = (shape.dims()[0], shape.dims()[1], shape.dims()[2]);
-        let (s0, s1) = (self.strides[0], self.strides[1]);
-        let mut terms = [(0usize, 0.0f64); 26];
-        terms.copy_from_slice(&self.interior_terms);
-        for i in 0..d0 {
-            for j in 0..d1 {
-                let base = i * s0 + j * s1;
-                let fast_pencil = i >= 2 && j >= 2;
-                let border_depth = if fast_pencil { d2.min(2) } else { d2 };
-                for k in 0..border_depth {
-                    let f = base + k;
-                    let pred = self.slow_pred(&[i, j, k], data, f);
-                    visit(f, pred);
-                }
-                if fast_pencil {
-                    for k in 2..d2 {
-                        let f = base + k;
-                        let mut pred = 0.0f64;
-                        for (off, coeff) in terms {
-                            pred += coeff * data[f - off].to_f64();
-                        }
-                        visit(f, pred);
-                    }
-                }
-            }
         }
     }
 
@@ -1470,12 +1295,11 @@ fn fill_partials<T: ScalarFloat>(
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form interior predictors. Term order matches `Stencil::build`'s
-// canonical enumeration — finished-row terms first (lexicographic), in-row
-// terms last — so results are identical (up to the sign of zero) to
-// `predict_at` over the equivalent stencil AND to the row engine's
-// partial-sum + carry split. That shared order is the invariant that keeps
-// specialized, generic, row, and point archives byte-identical.
+// Closed-form interior predictors for the sparse interval sampler. Term
+// order matches `Stencil::build`'s canonical enumeration — finished-row
+// terms first (lexicographic), in-row terms last — so results are identical
+// (up to the sign of zero) to `predict_at` over the equivalent stencil,
+// which keeps sampled interval choices equal to the generic walker's.
 // ---------------------------------------------------------------------------
 
 /// 1-D Lorenzo: previous neighbor.
@@ -1517,227 +1341,6 @@ fn two_layer_2d<T: ScalarFloat>(b: &[T], f: usize, s: usize) -> f64 {
         - b[f - 2 * s - 2].to_f64()
         + 2.0 * b[f - 1].to_f64()
         - b[f - 2].to_f64()
-}
-
-// ---------------------------------------------------------------------------
-// Specialized traversals (free functions where no stencil fallback is
-// needed: every 1-layer boundary class is itself closed-form).
-// ---------------------------------------------------------------------------
-
-fn scan_1d_n1<T, F>(d0: usize, buf: &mut [T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64) -> T,
-{
-    buf[0] = visit(0, 0.0);
-    for f in 1..d0 {
-        let pred = lorenzo_1d(buf, f);
-        buf[f] = visit(f, pred);
-    }
-}
-
-fn scan_1d_n2<T, F>(d0: usize, buf: &mut [T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64) -> T,
-{
-    buf[0] = visit(0, 0.0);
-    if d0 > 1 {
-        // One usable neighbor: the layer count shrinks to 1 at x = 1.
-        let pred = lorenzo_1d(buf, 1);
-        buf[1] = visit(1, pred);
-    }
-    for f in 2..d0 {
-        let pred = two_layer_1d(buf, f);
-        buf[f] = visit(f, pred);
-    }
-}
-
-fn scan_2d_n1<T, F>(d0: usize, d1: usize, s0: usize, buf: &mut [T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64) -> T,
-{
-    buf[0] = visit(0, 0.0);
-    for f in 1..d1 {
-        let pred = lorenzo_1d(buf, f);
-        buf[f] = visit(f, pred);
-    }
-    for i in 1..d0 {
-        let row = i * s0;
-        let pred = buf[row - s0].to_f64();
-        buf[row] = visit(row, pred);
-        for j in 1..d1 {
-            let f = row + j;
-            let pred = lorenzo_2d(buf, f, s0);
-            buf[f] = visit(f, pred);
-        }
-    }
-}
-
-fn scan_3d_n1<T, F>(
-    d0: usize,
-    d1: usize,
-    d2: usize,
-    s0: usize,
-    s1: usize,
-    buf: &mut [T],
-    mut visit: F,
-) where
-    T: ScalarFloat,
-    F: FnMut(usize, f64) -> T,
-{
-    for i in 0..d0 {
-        for j in 0..d1 {
-            let base = i * s0 + j * s1;
-            // Pencil start (k = 0): the predictor degrades to the plane of
-            // axes that still have a preceding neighbor.
-            let pred = match (i > 0, j > 0) {
-                (false, false) => 0.0,
-                (false, true) => buf[base - s1].to_f64(),
-                (true, false) => buf[base - s0].to_f64(),
-                (true, true) => {
-                    buf[base - s1].to_f64() + buf[base - s0].to_f64() - buf[base - s0 - s1].to_f64()
-                }
-            };
-            buf[base] = visit(base, pred);
-            match (i > 0, j > 0) {
-                (false, false) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        let pred = lorenzo_1d(buf, f);
-                        buf[f] = visit(f, pred);
-                    }
-                }
-                (false, true) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        let pred = lorenzo_2d(buf, f, s1);
-                        buf[f] = visit(f, pred);
-                    }
-                }
-                (true, false) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        let pred = lorenzo_2d(buf, f, s0);
-                        buf[f] = visit(f, pred);
-                    }
-                }
-                (true, true) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        let pred = lorenzo_3d(buf, f, s0, s1);
-                        buf[f] = visit(f, pred);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Read-only traversals: the same visit order and predictions as the scan_*
-// functions above, but predicting from the caller's immutable data instead
-// of a write-back buffer (original-value prediction).
-// ---------------------------------------------------------------------------
-
-fn readonly_1d_n1<T, F>(d0: usize, data: &[T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64),
-{
-    visit(0, 0.0);
-    for f in 1..d0 {
-        visit(f, lorenzo_1d(data, f));
-    }
-}
-
-fn readonly_1d_n2<T, F>(d0: usize, data: &[T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64),
-{
-    visit(0, 0.0);
-    if d0 > 1 {
-        visit(1, lorenzo_1d(data, 1));
-    }
-    for f in 2..d0 {
-        visit(f, two_layer_1d(data, f));
-    }
-}
-
-fn readonly_2d_n1<T, F>(d0: usize, d1: usize, s0: usize, data: &[T], mut visit: F)
-where
-    T: ScalarFloat,
-    F: FnMut(usize, f64),
-{
-    visit(0, 0.0);
-    for f in 1..d1 {
-        visit(f, lorenzo_1d(data, f));
-    }
-    for i in 1..d0 {
-        let row = i * s0;
-        visit(row, data[row - s0].to_f64());
-        for j in 1..d1 {
-            let f = row + j;
-            visit(f, lorenzo_2d(data, f, s0));
-        }
-    }
-}
-
-fn readonly_3d_n1<T, F>(
-    d0: usize,
-    d1: usize,
-    d2: usize,
-    s0: usize,
-    s1: usize,
-    data: &[T],
-    mut visit: F,
-) where
-    T: ScalarFloat,
-    F: FnMut(usize, f64),
-{
-    for i in 0..d0 {
-        for j in 0..d1 {
-            let base = i * s0 + j * s1;
-            let pred = match (i > 0, j > 0) {
-                (false, false) => 0.0,
-                (false, true) => data[base - s1].to_f64(),
-                (true, false) => data[base - s0].to_f64(),
-                (true, true) => {
-                    data[base - s1].to_f64() + data[base - s0].to_f64()
-                        - data[base - s0 - s1].to_f64()
-                }
-            };
-            visit(base, pred);
-            match (i > 0, j > 0) {
-                (false, false) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        visit(f, lorenzo_1d(data, f));
-                    }
-                }
-                (false, true) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        visit(f, lorenzo_2d(data, f, s1));
-                    }
-                }
-                (true, false) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        visit(f, lorenzo_2d(data, f, s0));
-                    }
-                }
-                (true, true) => {
-                    for k in 1..d2 {
-                        let f = base + k;
-                        visit(f, lorenzo_3d(data, f, s0, s1));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1795,52 +1398,6 @@ mod tests {
                 });
                 let expect: Vec<usize> = (0..shape.len()).collect();
                 assert_eq!(seen, expect, "dims {dims:?} layers {layers}");
-            }
-        }
-    }
-
-    /// Specialized and generic kernels must agree on every prediction (up
-    /// to zero-sign) and on every stored value — the invariant the archive
-    /// equivalence rests on.
-    #[test]
-    fn specialized_predictions_match_generic() {
-        for dims in [
-            vec![40usize],
-            vec![1, 23],
-            vec![23, 1],
-            vec![9, 11],
-            vec![2, 2, 17],
-            vec![1, 1, 13],
-            vec![6, 5, 4],
-        ] {
-            for layers in 1..=2usize {
-                let shape = Shape::new(&dims);
-                let data = wavy(&dims);
-                let mut spec = ScanKernel::for_shape(layers, &shape);
-                assert_ne!(spec.kind(), KernelKind::Generic);
-                let mut generic = ScanKernel::generic(layers, shape.strides());
-
-                let run = |kernel: &mut ScanKernel| {
-                    let mut buf = vec![0.0f32; shape.len()];
-                    let mut preds = Vec::with_capacity(shape.len());
-                    kernel.scan(&shape, &mut buf, |flat, pred| {
-                        preds.push(pred);
-                        // Store a quantized-ish reconstruction so later
-                        // predictions depend on earlier ones.
-                        (pred + (data[flat] as f64 - pred) * 0.5) as f32
-                    });
-                    (preds, buf)
-                };
-                let (pa, ba) = run(&mut spec);
-                let (pb, bb) = run(&mut generic);
-                assert_eq!(pa.len(), pb.len());
-                for (idx, (x, y)) in pa.iter().zip(&pb).enumerate() {
-                    assert!(
-                        x == y,
-                        "dims {dims:?} layers {layers} flat {idx}: {x} vs {y}"
-                    );
-                }
-                assert_eq!(ba, bb, "dims {dims:?} layers {layers}");
             }
         }
     }

@@ -45,8 +45,7 @@
 use crate::compress::{
     encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into, quantize_validated_impl,
     report_deflate, resolve_band_params, resolve_range_eb, write_band_header, BandMeta,
-    CompressionStats, EncodeExtra, EntropyScratch, HuffmanTable, QuantBufs, QuantizedBand,
-    VERSION_ESCLZ, VERSION_SHARED_ESCLZ, VERSION_SHARED_V3, VERSION_V3,
+    CompressionStats, EncodeExtra, EntropyScratch, Framing, HuffmanTable, QuantBufs, QuantizedBand,
 };
 use crate::config::Config;
 use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
@@ -408,8 +407,8 @@ impl<T: ScalarFloat> CodecSession<T> {
         shape: &Shape,
     ) -> Result<(Vec<u8>, CompressionStats)> {
         let config = self.active_config()?;
-        // Decorrelation threads per-index dither through the point visitor
-        // and cannot fuse; it always takes the staged path.
+        // Decorrelation dithers each reconstruction at its flat index, which
+        // the fused quantize→encode path does not; it always runs staged.
         if self.table_reuse && !config.decorrelate && self.reuse.is_some() {
             if let Some(out) = self.try_compress_fused(values, shape, &config)? {
                 return Ok(out);
@@ -1011,12 +1010,7 @@ fn write_fused_archive(
     let (esc_commit, trial_nanos) = timed(tele, || {
         meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink)
     });
-    let version = match (shared, esc_commit) {
-        (false, false) => VERSION_V3,
-        (false, true) => VERSION_ESCLZ,
-        (true, false) => VERSION_SHARED_V3,
-        (true, true) => VERSION_SHARED_ESCLZ,
-    };
+    let framing = Framing::written(shared, esc_commit);
     let EntropyScratch { deflater, escape } = entropy;
     let escape_section: &[u8] = if esc_commit { escape } else { unpred_bytes };
     let table_len = table.map_or(0, |(rle, used)| ByteWriter::varint_len(used) + rle.len());
@@ -1044,7 +1038,7 @@ fn write_fused_archive(
 
     let mut out =
         ByteWriter::with_capacity(64 + 10 * dims.len() + block_len + escape_section.len() + 24);
-    write_band_header(&mut out, version, meta, dims);
+    write_band_header(&mut out, framing, meta, dims);
     let mut deflate_nanos = trial_nanos;
     let (table_crc, payload_crc) = if meta.lossless_pass {
         payload_scratch.clear();
@@ -1088,6 +1082,7 @@ fn write_fused_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::VERSION_ESCLZ;
     use crate::{compress_slice_with_stats, decompress, Config, ErrorBound};
 
     fn wavy(rows: usize, cols: usize) -> Tensor<f32> {

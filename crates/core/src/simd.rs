@@ -97,6 +97,9 @@ pub fn force_scalar(on: bool) {
 /// Scalar code inlined into `f` then gets the SSE4.1 rounding instructions
 /// for `f64::round`, which the x86-64 baseline otherwise lowers to a
 /// library call. Results are identical: the instruction sequence is exact.
+/// `f` itself is called from two places, so the compiler may keep a large
+/// closure out of line (compiled for the baseline); mark it
+/// `#[inline(always)]`.
 #[inline(always)]
 pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]

@@ -1012,8 +1012,9 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
 ) -> Result<ChunkedArchive> {
     config.validate()?;
     if config.decorrelate {
-        // Per-point dither state cannot fuse; the staged shared path is the
-        // correct (and still table-sharing) fallback.
+        // The fused quantizer does not apply the per-index dither; the
+        // staged shared path is the correct (and still table-sharing)
+        // fallback.
         return compress_chunked_shared_telemetry(data, config, num_chunks, threads, sink);
     }
     let split = BandSplit::new(data.dims(), num_chunks);
@@ -1133,18 +1134,21 @@ fn decode_bands<T: ScalarFloat + Send + Sync>(
     policy: DecodePolicy,
     sink: Option<&RecordingSink>,
 ) -> Result<Vec<Result<Tensor<T>>>> {
-    let shared = archive
-        .shared_table
-        .as_deref()
-        .map(szr_huffman::deserialize_codec)
-        .transpose()
-        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))?;
+    let shared = shared_codec(archive.shared_table.as_deref())?;
     Ok(run_bands(
         archive.chunks.len(),
         threads,
         sink,
         |session, band| decode_band(session, &archive.chunks[band], shared.as_ref(), policy),
     ))
+}
+
+/// Rebuilds a container's serialized shared Huffman table, if it has one.
+fn shared_codec(table: Option<&[u8]>) -> Result<Option<HuffmanCodec>> {
+    table
+        .map(szr_huffman::deserialize_codec)
+        .transpose()
+        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))
 }
 
 /// [`decompress_chunked_with_policy`] with optional telemetry.
@@ -1210,11 +1214,7 @@ fn read_rows<T: ScalarFloat + Send + Sync>(
             "band range is empty or exceeds the band count",
         ));
     }
-    let shared = index
-        .shared_table_slice(bytes)
-        .map(szr_huffman::deserialize_codec)
-        .transpose()
-        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))?;
+    let shared = shared_codec(index.shared_table_slice(bytes))?;
     let decoded = run_bands(bands.len(), threads, None, |session, slot| {
         index
             .band_slice(bytes, bands.start + slot)
@@ -1274,8 +1274,22 @@ pub fn decompress_chunked_salvage_telemetry<T: ScalarFloat + Send + Sync>(
     let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
     check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
     let mut out: Vec<T> = vec![fill; shape.len()];
-    let decoded =
-        decode_bands::<T>(archive, threads, DecodePolicy::Verify, sink).unwrap_or_default();
+    // A shared table that does not deserialize damages only the bands that
+    // read it: those fail with the table's error, and the self-contained
+    // bands decode with no codec.
+    let (shared, table_err) = match shared_codec(archive.shared_table.as_deref()) {
+        Ok(codec) => (codec, None),
+        Err(e) => (None, Some(e)),
+    };
+    let decoded = run_bands(archive.chunks.len(), threads, sink, |session, band| {
+        let chunk = &archive.chunks[band];
+        match &table_err {
+            Some(e) if szr_core::inspect(chunk).is_ok_and(|info| info.shared_stream) => {
+                Err(e.clone())
+            }
+            _ => decode_band(session, chunk, shared.as_ref(), DecodePolicy::Verify),
+        }
+    });
 
     let mut report = SalvageReport {
         bands: archive.chunks.len(),

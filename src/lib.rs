@@ -221,13 +221,11 @@
 //!
 //! Every predict→quantize traversal in the codec runs through one engine:
 //! [`ScanKernel`] (in `szr-core`). A kernel is instantiated per
-//! *(layer count, stride family)* and dispatches to closed-form loops for
-//! the dominant cases — 1-D/2-D/3-D grids with 1-layer (Lorenzo) or
-//! 2-layer prediction, Eq. 11 coefficients unrolled as constants, interior
-//! fast path separated from the boundary slow path — falling back to the
-//! generic stencil walker for any other `(d, n)`.
+//! *(layer count, stride family)* and runs the row engine for the dominant
+//! cases — 1-D/2-D/3-D grids with 1-layer (Lorenzo) or 2-layer prediction
+//! — falling back to the generic stencil walker for any other `(d, n)`.
 //!
-//! The hot paths are **row-granular**: `ScanKernel::scan_rows` precomputes
+//! Every codec path is **row-granular**: `ScanKernel::scan_rows` precomputes
 //! each interior row's row-invariant stencil prefix into a reusable
 //! partial-sum scratch row (tight, autovectorizable slice loops) and hands
 //! whole row segments to a [`RowVisitor`], leaving only the loop-carried
@@ -237,9 +235,11 @@
 //! The staged compressor keeps two rows in flight ([`RowPair`]): the scan
 //! is bound by each row's loop-carried reconstruction chain, and two
 //! independent chains share the core.
-//! The per-point visitor (`ScanKernel::scan`) is retained as the slow-path
-//! oracle; row and point paths produce byte-identical archives, pinned by
-//! property tests across every dimension/layer/shape class.
+//! Error-decorrelation mode rides the same row engine with a per-point
+//! visitor that dithers each reconstruction. The generic per-point walker
+//! (`ScanKernel::scan`) is retained only as the oracle; row and point paths
+//! produce byte-identical archives, pinned by property tests across every
+//! dimension/layer/shape class.
 //!
 //! The row slice passes themselves — partial-sum prefixes, the quantizer
 //! hit test, code→offset reconstruction — dispatch at runtime to explicit
@@ -265,8 +265,7 @@
 //! `szr-parallel`'s chunked driver threads one kernel instance per
 //! (layer count, stride family) through all bands a worker touches — both
 //! directions, scratch rows included — and `crates/bench` races the row
-//! engine against the point oracle (`benches/scan.rs`, `bench_scan`) and
-//! the specialized kernels against the generic walker (`scan_kernel/*`).
+//! engine against the point oracle (`benches/scan.rs`, `bench_scan`).
 
 pub use szr_container::Snapshot;
 pub use szr_core::{

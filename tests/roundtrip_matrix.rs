@@ -67,6 +67,34 @@ fn sz14_row_path_matches_point_oracle_on_all_datasets() {
 }
 
 #[test]
+fn sz14_decorrelated_row_path_matches_point_oracle() {
+    // Decorrelation mode runs its per-point dithering visitor on the row
+    // engine; it must emit exactly the codes, escape bits and stats of the
+    // same visitor driven by the generic point walker.
+    use szr::{
+        encode_quantized, quantize_slice_with_kernel, quantize_slice_with_kernel_oracle,
+        HuffmanTable, ScanKernel,
+    };
+    for (name, data) in all_small_fields() {
+        let eb = 1e-4 * value_range(data.as_slice());
+        for layers in 1..=2usize {
+            let config = Config::new(ErrorBound::Absolute(eb))
+                .with_layers(layers)
+                .with_decorrelation();
+            let mut kernel = ScanKernel::for_shape(layers, data.shape());
+            let (values, shape) = (data.as_slice(), data.shape());
+            let row = quantize_slice_with_kernel(values, shape, &config, &mut kernel).unwrap();
+            let oracle =
+                quantize_slice_with_kernel_oracle(values, shape, &config, &mut kernel).unwrap();
+            let (row_bytes, row_stats) = encode_quantized(&row, HuffmanTable::PerBand);
+            let (oracle_bytes, oracle_stats) = encode_quantized(&oracle, HuffmanTable::PerBand);
+            assert_eq!(row_bytes, oracle_bytes, "{name} n={layers}");
+            assert_eq!(row_stats, oracle_stats, "{name} n={layers}");
+        }
+    }
+}
+
+#[test]
 fn sz14_session_matches_free_functions_on_all_datasets() {
     // The session refactor's real-dataset equivalence pin: one reused
     // CodecSession must produce archives byte-identical to the
@@ -209,4 +237,66 @@ fn f64_paths_roundtrip_on_real_structures() {
     let packed = compress(&data64, &Config::new(ErrorBound::Absolute(eb))).unwrap();
     let out: Tensor<f64> = decompress(&packed).unwrap();
     assert!(max_abs_error(data64.as_slice(), out.as_slice()) <= eb);
+}
+
+/// Decorrelated band archives written by an earlier build (f32 6×9 with two
+/// layers at `Absolute(1e-2)`, f64 3×4×5 at `Absolute(1e-3)`, both fields
+/// carrying a NaN, an Inf and a 1e30 outlier), with the FNV-1a hash of the
+/// bits they decoded to. Decorrelated decode replays the per-index dither;
+/// any change in how or where it is applied changes these hashes.
+const DECORRELATED_F32: &[u8] = &[
+    83, 90, 82, 49, 3, 0, 2, 14, 1, 123, 20, 174, 71, 225, 122, 132, 63, 2, 6, 9, 223, 214, 108,
+    227, 1, 199, 1, 59, 207, 120, 53, 205, 204, 155, 137, 145, 225, 176, 24, 27, 35, 195, 87, 38,
+    32, 177, 157, 145, 149, 145, 97, 6, 23, 144, 181, 131, 17, 72, 236, 7, 17, 183, 56, 128, 196,
+    90, 70, 54, 38, 134, 56, 160, 36, 51, 144, 179, 13, 36, 60, 135, 21, 72, 44, 101, 129, 200, 49,
+    50, 128, 48, 15, 16, 111, 4, 49, 88, 160, 2, 129, 64, 156, 5, 196, 247, 64, 102, 207, 102, 3,
+    18, 147, 65, 194, 70, 64, 172, 206, 6, 49, 43, 9, 136, 103, 130, 44, 220, 13, 178, 218, 15,
+    136, 147, 128, 248, 16, 136, 115, 147, 3, 72, 128, 24, 96, 87, 177, 178, 50, 62, 123, 159, 243,
+    218, 228, 103, 191, 236, 114, 222, 85, 177, 101, 13, 183, 234, 102, 151, 51, 170, 117, 45, 252,
+    212, 184, 38, 240, 207, 79, 70, 150, 184, 3, 154, 251, 31, 48, 48, 4, 244, 112, 59, 177, 172,
+    61, 170, 126, 90, 171, 249, 217, 21, 133, 127, 1, 105, 89, 205, 181, 87, 228, 44, 23, 228, 135,
+    8, 59, 239, 159, 177, 255, 0, 3, 67, 129, 123, 3, 0, 13, 145, 152, 198, 211, 194, 28, 44,
+];
+const DECORRELATED_F32_BITS: u64 = 0xde81f5d730620f19;
+const DECORRELATED_F64: &[u8] = &[
+    83, 90, 82, 49, 3, 1, 1, 8, 1, 252, 169, 241, 210, 77, 98, 80, 63, 3, 3, 4, 5, 0, 194, 200,
+    144, 0, 17, 36, 60, 3, 1, 1, 0, 34, 1, 1, 0, 0, 0, 0, 32, 0, 0, 0, 212, 1, 159, 252, 27, 64,
+    36, 9, 208, 8, 212, 116, 3, 34, 42, 128, 101, 81, 208, 9, 36, 180, 3, 168, 254, 128, 100, 40,
+    208, 12, 32, 218, 1, 197, 73, 64, 55, 221, 104, 7, 250, 149, 0, 255, 23, 160, 33, 225, 202, 2,
+    25, 60, 160, 30, 134, 52, 4, 91, 99, 64, 64, 243, 116, 4, 1, 85, 64, 67, 146, 183, 255, 128, 0,
+    0, 0, 0, 0, 10, 2, 51, 5, 160, 34, 156, 122, 2, 0, 69, 160, 35, 83, 154, 2, 10, 139, 160, 31,
+    222, 244, 4, 44, 125, 64, 65, 169, 20, 4, 70, 235, 70, 41, 62, 89, 57, 160, 140, 234, 160, 28,
+    246, 244, 4, 48, 163, 64, 58, 89, 232, 7, 104, 205, 0, 224, 101, 160, 30, 97, 20, 3, 135, 194,
+    128, 80, 228, 160, 27, 213, 20, 2, 105, 109, 0, 108, 226, 128, 76, 146, 160, 15, 20, 208, 9,
+    236, 212, 1, 211, 138, 1, 58, 10, 128, 49, 113, 192, 24, 226, 160, 12, 60, 112, 6, 48, 248, 4,
+    101, 62, 0, 159, 103, 0, 137, 67, 192, 17, 144, 224, 17, 81, 184, 6, 164, 45, 255, 192, 0, 0,
+    0, 0, 0, 3, 128, 103, 111, 0, 124, 198, 225, 21, 236, 35, 104, 218,
+];
+const DECORRELATED_F64_BITS: u64 = 0x5c648d32dad07aa3;
+
+fn fnv1a_bits<T: szr::ScalarFloat>(t: &Tensor<T>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in t.as_slice() {
+        for b in v.to_bits_u64().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn decorrelated_archives_decode_to_pinned_bits() {
+    let f32_out: Tensor<f32> = decompress(DECORRELATED_F32).unwrap();
+    assert_eq!(f32_out.dims(), &[6, 9]);
+    assert_eq!(fnv1a_bits(&f32_out), DECORRELATED_F32_BITS);
+    let f64_out: Tensor<f64> = decompress(DECORRELATED_F64).unwrap();
+    assert_eq!(f64_out.dims(), &[3, 4, 5]);
+    assert_eq!(fnv1a_bits(&f64_out), DECORRELATED_F64_BITS);
+    // The staged oracle decoder and a warm session agree with the pin.
+    let staged: Tensor<f32> = szr::decompress_staged(DECORRELATED_F32).unwrap();
+    assert_eq!(fnv1a_bits(&staged), DECORRELATED_F32_BITS);
+    let mut session = szr::CodecSession::<f64>::decoder();
+    let via_session = session.decompress(DECORRELATED_F64).unwrap();
+    assert_eq!(fnv1a_bits(&via_session), DECORRELATED_F64_BITS);
 }
