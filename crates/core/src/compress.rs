@@ -6,7 +6,7 @@ use crate::kernel::{Lane, RowPair, RowVisitor, ScanKernel};
 use crate::quant::{choose_interval_bits_counted, Quantizer};
 use crate::unpred::UnpredictableCodec;
 use crate::Result;
-use szr_bitstream::{BitWriter, ByteReader, ByteWriter};
+use szr_bitstream::{BitWriter, ByteWriter};
 use szr_huffman::HuffmanCodec;
 use szr_telemetry::{timed, Counter, Stage, TelemetrySink};
 use szr_tensor::Tensor;
@@ -32,7 +32,7 @@ pub(crate) const VERSION: u8 = 1;
 pub(crate) const VERSION_SHARED: u8 = 2;
 /// Checksummed self-contained archive: version 1's layout plus a CRC-32
 /// after the header fields and a `table CRC · payload CRC` trailer. This is
-/// what both writers emit today; versions 1/2 remain fully decodable.
+/// what the band writer emits today; versions 1/2 remain fully decodable.
 pub(crate) const VERSION_V3: u8 = 3;
 /// Checksummed shared-table archive (version 2 + the version 3 checksums).
 pub(crate) const VERSION_SHARED_V3: u8 = 4;
@@ -62,7 +62,7 @@ pub(crate) struct Framing {
 }
 
 impl Framing {
-    /// The framing both writers emit: always checksummed.
+    /// The framing the band writer emits: always checksummed.
     pub fn written(shared: bool, escape_lz: bool) -> Self {
         Framing {
             shared,
@@ -281,9 +281,9 @@ impl QuantizedBand {
 }
 
 /// Counts `codes` into `freqs` (cleared and resized here) over exactly the
-/// occupied range `0..=max_code` — the one definition of the convention
-/// `szr_huffman::compress_u32_from_hist` expects, shared by the band cache
-/// above and the session's reusable scratch.
+/// occupied range `0..=max_code` — the alphabet a band's own Huffman table
+/// serializes — shared by the band cache above and the session's reusable
+/// scratch.
 pub(crate) fn occupied_histogram(codes: &[u32], freqs: &mut Vec<u64>) {
     let used = codes.iter().max().map_or(0, |&m| m as usize + 1);
     freqs.clear();
@@ -294,9 +294,9 @@ pub(crate) fn occupied_histogram(codes: &[u32], freqs: &mut Vec<u64>) {
 }
 
 /// Header fields and per-run counters of one quantized band — everything
-/// [`encode_parts`] needs besides the code/escape payloads, separated from
-/// [`QuantizedBand`] so a session can quantize into reusable buffers
-/// without assembling an owned band.
+/// [`write_band_archive`] needs besides the Huffman block and the escape
+/// stream, separated from [`QuantizedBand`] so a session can quantize into
+/// reusable buffers without assembling an owned band.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BandMeta {
     pub type_tag: u8,
@@ -710,22 +710,36 @@ pub(crate) fn quantize_into<T: ScalarFloat>(
     })
 }
 
-/// Entropy-stage scratch: the reusable DEFLATE encoder (matcher state,
-/// token buffer, splitter histograms, recycled output) plus the staging
-/// buffer that holds a committed escape-LZ stream while the deflater is
-/// reused for the payload post-pass. A [`crate::CodecSession`] owns one, so
-/// its warm DEFLATE-path compressions allocate nothing here; the free
+/// Entropy-stage scratch: the band's Huffman code stream and table plus
+/// the band writer's scratch. A [`crate::CodecSession`] owns one, so its
+/// warm compressions allocate nothing here but the archive; the free
 /// functions build a throwaway per call.
+#[derive(Default)]
 pub(crate) struct EntropyScratch {
-    pub deflater: szr_deflate::Deflater,
-    pub escape: Vec<u8>,
+    /// The band's Huffman code stream: the staged encode writes it after
+    /// the scan, the fused scan while it runs.
+    pub code_bits: BitWriter,
+    /// RLE code lengths of a staged band's own Huffman table.
+    pub table: ByteWriter,
+    pub writer: WriterScratch,
 }
 
-impl Default for EntropyScratch {
+/// The band writer's scratch: the reusable DEFLATE encoder (matcher state,
+/// token buffer, splitter histograms, recycled output), the buffer that
+/// holds a committed escape-LZ stream while the deflater is reused for the
+/// post-pass, and the payload staged for that pass.
+pub(crate) struct WriterScratch {
+    pub deflater: szr_deflate::Deflater,
+    pub escape: Vec<u8>,
+    pub payload: ByteWriter,
+}
+
+impl Default for WriterScratch {
     fn default() -> Self {
         Self {
             deflater: szr_deflate::Deflater::new(),
             escape: Vec::new(),
+            payload: ByteWriter::new(),
         }
     }
 }
@@ -756,7 +770,7 @@ pub(crate) fn report_deflate(sink: &dyn TelemetrySink, stats: szr_deflate::Defla
 /// commits — leaving the compressed stream in `entropy.escape` — only when
 /// it actually shrank. Returns whether to emit escape-LZ framing.
 pub(crate) fn escape_lz_trial(
-    entropy: &mut EntropyScratch,
+    entropy: &mut WriterScratch,
     unpred: &[u8],
     sink: Option<&dyn TelemetrySink>,
 ) -> bool {
@@ -778,7 +792,9 @@ pub(crate) fn escape_lz_trial(
         }
     }
     let (commit, packed_len, nanos) = {
-        let EntropyScratch { deflater, escape } = entropy;
+        let WriterScratch {
+            deflater, escape, ..
+        } = entropy;
         let (packed, nanos) = timed(tele, || deflater.compress(unpred));
         let commit = packed.len() < unpred.len();
         if commit {
@@ -803,7 +819,7 @@ pub(crate) fn escape_lz_trial(
 /// or lose) — the planner's cheap way to decide whether enabling the flag
 /// pays for a band.
 pub fn escape_lz_trial_ratio(escape: &[u8]) -> Option<f64> {
-    let mut entropy = EntropyScratch::default();
+    let mut entropy = WriterScratch::default();
     if escape_lz_trial(&mut entropy, escape, None) {
         Some(entropy.escape.len() as f64 / escape.len() as f64)
     } else {
@@ -875,48 +891,244 @@ pub(crate) fn encode_quantized_sink(
     sink: Option<&dyn TelemetrySink>,
 ) -> (Vec<u8>, CompressionStats, Option<EncodeExtra>) {
     let hist = match table {
-        HuffmanTable::PerBand => Some(band.histogram()),
-        HuffmanTable::Shared(_) => None,
+        HuffmanTable::PerBand => band.histogram(),
+        HuffmanTable::Shared(_) => &[],
     };
-    encode_parts(
+    encode_codes(
         &band.meta,
         &band.dims,
         &band.codes,
         &band.unpred,
-        hist,
         table,
+        hist,
         entropy,
         sink,
     )
 }
 
-/// Writes the common band-archive header (magic through dims) — shared by
-/// the staged encode and the session's fused writer so the two layouts
-/// cannot drift.
-pub(crate) fn write_band_header(
-    out: &mut ByteWriter,
-    framing: Framing,
+/// Huffman-codes a materialized code stream into `entropy`'s scratch and
+/// writes the band archive — the staged encode behind [`encode_quantized`],
+/// [`crate::CodecSession::encode`] and the session's staged band. A
+/// per-band table is built from `hist`, the band's occupied-range
+/// histogram (unread under a shared table). A sink gets the
+/// `EntropyEncode` and `HeaderIo` spans, and the block's table shape comes
+/// back; the bytes are identical either way.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_codes(
     meta: &BandMeta,
     dims: &[usize],
-) {
-    let start = out.len();
-    out.write_bytes(&MAGIC);
-    out.write_u8(framing.version());
-    out.write_u8(meta.type_tag);
-    out.write_u8(meta.layers as u8);
-    out.write_u8(meta.interval_bits as u8);
-    out.write_u8(meta.decorrelate as u8);
-    out.write_f64(meta.eb);
-    out.write_varint(dims.len() as u64);
-    for &d in dims {
-        out.write_varint(d as u64);
+    codes: &[u32],
+    unpred: &[u8],
+    table: HuffmanTable<'_>,
+    hist: &[u64],
+    entropy: &mut EntropyScratch,
+    sink: Option<&dyn TelemetrySink>,
+) -> (Vec<u8>, CompressionStats, Option<EncodeExtra>) {
+    let EntropyScratch {
+        code_bits,
+        table: rle,
+        writer,
+    } = entropy;
+    let shared = match table {
+        HuffmanTable::PerBand => None,
+        HuffmanTable::Shared(codec) => Some(codec),
+    };
+    let (own, encode_nanos) = timed(sink.is_some(), || {
+        let own = shared
+            .is_none()
+            .then(|| HuffmanCodec::from_frequencies(hist));
+        let codec = own.as_ref().or(shared).expect("own or shared table");
+        rle.clear();
+        // The code stream's exact size is known up front, so a cold writer
+        // is sized once.
+        let payload_bits = if own.is_some() {
+            szr_huffman::write_lengths(rle, codec.lengths());
+            codec.payload_bits(hist)
+        } else {
+            codes
+                .iter()
+                .map(|&s| codec.lengths()[s as usize] as u64)
+                .sum()
+        };
+        code_bits.clear();
+        code_bits.reserve((payload_bits as usize).div_ceil(8));
+        codec.encode_all(codes, code_bits);
+        own
+    });
+    let codec = own.as_ref().or(shared).expect("own or shared table");
+    let block = HuffmanBlock {
+        table: own
+            .is_some()
+            .then(|| (rle.as_bytes(), codec.lengths().len() as u64)),
+        count: codes.len() as u64,
+        codes: code_bits.finish(),
+    };
+    let (bytes, stats, times) = write_band_archive(meta, dims, block, unpred, writer, sink);
+    let extra = sink.map(|sink| {
+        sink.span(
+            Stage::EntropyEncode,
+            encode_nanos,
+            stats.huffman_bytes as u64,
+        );
+        sink.span(Stage::HeaderIo, times.header_nanos, times.header_bytes);
+        EncodeExtra::new(codec.lengths(), block)
+    });
+    (bytes, stats, extra)
+}
+
+/// One band's Huffman block in the parts the band writer frames:
+/// `alphabet · count · RLE lengths · code bits` for a self-contained
+/// block, `count · code bits` when the table lives in the owning
+/// container.
+#[derive(Clone, Copy)]
+pub(crate) struct HuffmanBlock<'a> {
+    /// `(RLE code lengths, alphabet)`; `None` for a shared-table block.
+    pub table: Option<(&'a [u8], u64)>,
+    /// Symbols in the code stream (one per point).
+    pub count: u64,
+    /// The Huffman code stream, byte-aligned.
+    pub codes: &'a [u8],
+}
+
+impl HuffmanBlock<'_> {
+    /// Serialized table bytes: the alphabet varint plus the RLE lengths.
+    fn table_len(&self) -> usize {
+        self.table
+            .map_or(0, |(rle, used)| ByteWriter::varint_len(used) + rle.len())
     }
-    if framing.checksummed {
+
+    /// Serialized block bytes.
+    fn len(&self) -> usize {
+        self.table_len() + ByteWriter::varint_len(self.count) + self.codes.len()
+    }
+}
+
+/// What the band writer reports besides the archive: the nanoseconds it
+/// spent in DEFLATE (escape-LZ trial plus post-pass, each already reported
+/// as a [`Stage::Deflate`] span), which fused callers keep out of their
+/// entropy-encode span, and the header's nanoseconds and bytes, which the
+/// staged paths report as [`Stage::HeaderIo`]. All zero without a sink.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WriteTimes {
+    pub deflate_nanos: u64,
+    pub header_nanos: u64,
+    pub header_bytes: u64,
+}
+
+/// Writes one band archive from its parts — the single band writer behind
+/// every encode path, staged and fused. The Huffman block section is
+/// length-prefixed arithmetically, so nothing is staged unless the DEFLATE
+/// post-pass needs a contiguous payload. `meta.escape_lz` arms the sampled
+/// escape trial; the trailer's payload CRC stays over the raw escape bytes.
+pub(crate) fn write_band_archive(
+    meta: &BandMeta,
+    dims: &[usize],
+    block: HuffmanBlock<'_>,
+    unpred: &[u8],
+    scratch: &mut WriterScratch,
+    sink: Option<&dyn TelemetrySink>,
+) -> (Vec<u8>, CompressionStats, WriteTimes) {
+    let tele = sink.is_some();
+    // LZ over the escape stream: the sampled trial decides the version byte
+    // before the header is written (the version is under the header CRC).
+    // Bands where the flag is off — or the trial loses — emit v3/v4
+    // byte-identically.
+    let (esc_commit, trial_nanos) = timed(tele, || {
+        meta.escape_lz && escape_lz_trial(scratch, unpred, sink)
+    });
+    let framing = Framing::written(block.table.is_none(), esc_commit);
+    let WriterScratch {
+        deflater,
+        escape,
+        payload,
+    } = scratch;
+    let escape_section: &[u8] = if esc_commit { escape } else { unpred };
+    let block_len = block.len();
+    // Writes the payload sections and returns the v3 section CRCs, hashed
+    // in place over the bytes just written — no staging copy. The table CRC
+    // covers the pre-DEFLATE Huffman block and the payload CRC the raw
+    // escape stream (even when the section is stored deflated), so
+    // verification works identically for raw and post-passed archives.
+    let write_payload = |w: &mut ByteWriter| -> (u32, u32) {
+        w.write_varint(block_len as u64);
+        let block_start = w.len();
+        if let Some((_, used)) = block.table {
+            w.write_varint(used);
+        }
+        w.write_varint(block.count);
+        if let Some((rle, _)) = block.table {
+            w.write_bytes(rle);
+        }
+        w.write_bytes(block.codes);
+        let table_crc = szr_deflate::crc32(&w.as_bytes()[block_start..]);
+        w.write_len_prefixed(escape_section);
+        (table_crc, szr_deflate::crc32(unpred))
+    };
+
+    let mut out =
+        ByteWriter::with_capacity(64 + 10 * dims.len() + block_len + escape_section.len() + 24);
+    let ((), header_nanos) = timed(tele, || {
+        out.write_bytes(&MAGIC);
+        out.write_u8(framing.version());
+        out.write_u8(meta.type_tag);
+        out.write_u8(meta.layers as u8);
+        out.write_u8(meta.interval_bits as u8);
+        out.write_u8(meta.decorrelate as u8);
+        out.write_f64(meta.eb);
+        out.write_varint(dims.len() as u64);
+        for &d in dims {
+            out.write_varint(d as u64);
+        }
         // v3 framing: the header section is sealed by a CRC-32 over exactly
         // the bytes above, hashed in place from the output buffer.
-        let crc = szr_deflate::crc32(&out.as_bytes()[start..]);
+        let crc = szr_deflate::crc32(out.as_bytes());
         out.write_u32(crc);
-    }
+    });
+    let mut times = WriteTimes {
+        deflate_nanos: trial_nanos,
+        header_nanos,
+        header_bytes: out.len() as u64,
+    };
+    // Payload: the two sections, optionally behind SZ's "best compression"
+    // DEFLATE pass (the Huffman stream has a 1-bit/symbol floor that
+    // DEFLATE's match layer can break on low-entropy code streams).
+    let (table_crc, payload_crc) = if meta.lossless_pass {
+        payload.clear();
+        let crcs = write_payload(payload);
+        let (deflated, nanos) = timed(tele, || deflater.compress(payload.as_bytes()));
+        if deflated.len() < payload.len() {
+            out.write_u8(1);
+            out.write_len_prefixed(deflated);
+        } else {
+            out.write_u8(0);
+            out.write_bytes(payload.as_bytes());
+        }
+        if let Some(sink) = sink {
+            sink.span(Stage::Deflate, nanos, deflated.len() as u64);
+            report_deflate(sink, deflater.stats());
+        }
+        times.deflate_nanos += nanos;
+        crcs
+    } else {
+        out.write_u8(0);
+        write_payload(&mut out)
+    };
+    out.write_u32(table_crc);
+    out.write_u32(payload_crc);
+    let bytes = out.into_bytes();
+
+    let stats = CompressionStats {
+        total: block.count as usize,
+        predictable: meta.predictable,
+        eb_abs: meta.eb,
+        range: meta.range,
+        interval_bits: meta.interval_bits,
+        layers: meta.layers,
+        compressed_bytes: bytes.len(),
+        huffman_bytes: block_len,
+        unpredictable_bytes: unpred.len(),
+    };
+    (bytes, stats, times)
 }
 
 /// Telemetry-only facts about an encoded band that [`CompressionStats`]
@@ -927,7 +1139,8 @@ pub(crate) fn write_band_header(
 pub(crate) struct EncodeExtra {
     /// Serialized Huffman code-stream bits (payload only, table excluded).
     pub code_stream_bits: u64,
-    /// Serialized table bytes inside the block (0 for shared-table bands).
+    /// Serialized table bytes inside the block — the alphabet varint plus
+    /// the RLE code lengths (0 for shared-table bands).
     pub table_bytes: u64,
     /// Symbols with a nonzero code length.
     pub table_symbols: u64,
@@ -936,136 +1149,15 @@ pub(crate) struct EncodeExtra {
 }
 
 impl EncodeExtra {
-    /// Table shape from a codec's code lengths; `table_bytes` stays 0 (the
-    /// shared/fused callers fill in their own serialized size).
-    pub fn from_lengths(lengths: &[u32]) -> Self {
+    /// The facts of `block`, written under a code with these `lengths`.
+    pub fn new(lengths: &[u32], block: HuffmanBlock<'_>) -> Self {
         EncodeExtra {
-            code_stream_bits: 0,
-            table_bytes: 0,
+            code_stream_bits: (block.codes.len() as u64) * 8,
+            table_bytes: block.table_len() as u64,
             table_symbols: lengths.iter().filter(|&&l| l > 0).count() as u64,
             table_depth: lengths.iter().copied().max().unwrap_or(0),
         }
     }
-}
-
-/// Reads a produced self-contained Huffman block back for its table shape —
-/// recording-path only, so the encode hot path never pays for it. Returns
-/// `None` on any parse surprise rather than failing the compression.
-fn block_extra(huffman_block: &[u8]) -> Option<EncodeExtra> {
-    let block = szr_huffman::parse_block(huffman_block).ok()?;
-    let mut reader = ByteReader::new(block.table);
-    let lengths = szr_huffman::read_lengths(&mut reader, block.alphabet).ok()?;
-    let mut extra = EncodeExtra::from_lengths(&lengths);
-    extra.code_stream_bits = (block.payload.len() as u64) * 8;
-    extra.table_bytes = (huffman_block.len() - block.payload.len()) as u64;
-    Some(extra)
-}
-
-/// [`encode_quantized`] over loose parts: meta + dims + code/escape slices,
-/// with an optional precomputed histogram for the per-band table. This is
-/// the single archive writer behind every staged encode path. A sink adds
-/// entropy/DEFLATE/header spans and the block's table shape; the bytes are
-/// identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_parts(
-    meta: &BandMeta,
-    dims: &[usize],
-    codes: &[u32],
-    unpred_block: &[u8],
-    hist: Option<&[u64]>,
-    table: HuffmanTable<'_>,
-    entropy: &mut EntropyScratch,
-    sink: Option<&dyn TelemetrySink>,
-) -> (Vec<u8>, CompressionStats, Option<EncodeExtra>) {
-    let tele = sink.is_some();
-    let shared = matches!(table, HuffmanTable::Shared(_));
-    let (huffman_block, encode_nanos) = timed(tele, || match table {
-        HuffmanTable::PerBand => match hist {
-            Some(h) => szr_huffman::compress_u32_from_hist(codes, h),
-            None => szr_huffman::compress_u32(codes, 1usize << meta.interval_bits),
-        },
-        HuffmanTable::Shared(codec) => szr_huffman::compress_u32_with_codec(codes, codec),
-    });
-
-    // LZ over the escape stream: the sampled trial decides the version byte
-    // before the header is written (the version is under the header CRC).
-    // Bands where the flag is off — or the trial loses — emit v3/v4
-    // byte-identically.
-    let esc_commit = meta.escape_lz && escape_lz_trial(entropy, unpred_block, sink);
-    let framing = Framing::written(shared, esc_commit);
-    let EntropyScratch { deflater, escape } = entropy;
-    let escape_section: &[u8] = if esc_commit { escape } else { unpred_block };
-
-    let mut out = ByteWriter::with_capacity(huffman_block.len() + escape_section.len() + 64);
-    let ((), header_nanos) = timed(tele, || write_band_header(&mut out, framing, meta, dims));
-    let header_bytes = out.len() as u64;
-    // Payload: the two sections, optionally behind SZ's "best compression"
-    // DEFLATE pass (the Huffman stream has a 1-bit/symbol floor that
-    // DEFLATE's match layer can break on low-entropy code streams).
-    let mut payload = ByteWriter::with_capacity(huffman_block.len() + escape_section.len() + 8);
-    payload.write_len_prefixed(&huffman_block);
-    payload.write_len_prefixed(escape_section);
-    if meta.lossless_pass {
-        let (deflated_len, won, deflate_nanos) = {
-            let (deflated, nanos) = timed(tele, || deflater.compress(payload.as_bytes()));
-            let won = deflated.len() < payload.len();
-            if won {
-                out.write_u8(1);
-                out.write_len_prefixed(deflated);
-            }
-            (deflated.len(), won, nanos)
-        };
-        if !won {
-            out.write_u8(0);
-            out.write_bytes(payload.as_bytes());
-        }
-        if let Some(sink) = sink {
-            sink.span(Stage::Deflate, deflate_nanos, deflated_len as u64);
-            report_deflate(sink, deflater.stats());
-        }
-    } else {
-        out.write_u8(0);
-        out.write_bytes(payload.as_bytes());
-    }
-    // v3 trailer: section CRCs over the pre-DEFLATE table (Huffman block)
-    // and payload (escape block) bytes, so verification works identically
-    // for raw and post-passed archives.
-    out.write_u32(szr_deflate::crc32(&huffman_block));
-    out.write_u32(szr_deflate::crc32(unpred_block));
-    let bytes = out.into_bytes();
-
-    let extra = sink.map(|sink| {
-        sink.span(
-            Stage::EntropyEncode,
-            encode_nanos,
-            huffman_block.len() as u64,
-        );
-        sink.span(Stage::HeaderIo, header_nanos, header_bytes);
-        match table {
-            HuffmanTable::PerBand => block_extra(&huffman_block).unwrap_or_default(),
-            HuffmanTable::Shared(codec) => {
-                let mut extra = EncodeExtra::from_lengths(codec.lengths());
-                // Shared block: `count varint · code bits` — everything past
-                // the count is code stream; the table lives in the container.
-                extra.code_stream_bits = szr_huffman::parse_shared_block(&huffman_block)
-                    .map_or(0, |b| (b.payload.len() as u64) * 8);
-                extra
-            }
-        }
-    });
-
-    let stats = CompressionStats {
-        total: codes.len(),
-        predictable: meta.predictable,
-        eb_abs: meta.eb,
-        range: meta.range,
-        interval_bits: meta.interval_bits,
-        layers: meta.layers,
-        compressed_bytes: bytes.len(),
-        huffman_bytes: huffman_block.len(),
-        unpredictable_bytes: unpred_block.len(),
-    };
-    (bytes, stats, extra)
 }
 
 #[cfg(test)]

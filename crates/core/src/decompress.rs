@@ -441,9 +441,9 @@ pub(crate) struct DecodeScratch<T: ScalarFloat> {
     escape: Vec<u8>,
     /// Raw RLE table span of the codec cached below (memcmp cache key).
     table_key: Vec<u8>,
-    /// Codec rebuilt from the last per-band table seen; same-table streaks
-    /// (a session decoding one producer's bands) skip the rebuild and keep
-    /// the codec's decode LUT warm.
+    /// Codec rebuilt from the last per-band table seen, on either decode
+    /// branch; same-table streaks (a session decoding one producer's bands)
+    /// skip the rebuild and keep the codec's decode LUT warm.
     cached_codec: Option<HuffmanCodec>,
 }
 
@@ -681,6 +681,7 @@ pub fn decompress_shared_with_kernel<T: ScalarFloat>(
 /// otherwise), and `scratch` holds the reusable decode buffers (a session
 /// passes a persistent one so repeated decodes reuse every allocation).
 ///
+/// The Huffman block and its codec are resolved once for both branches.
 /// With `staged` false (the production path) Huffman symbols are pulled
 /// straight into row reconstruction through a [`SymbolDecoder`] — the
 /// intermediate symbol vector is never materialized, and the per-row
@@ -817,49 +818,50 @@ fn decompress_parsed<T: ScalarFloat>(
     let unpred_bits = BitReader::new(unpred_block);
     let mut recon: Vec<T> = vec![T::from_f64(0.0); total];
 
+    // One Huffman block and codec for both decode branches: the container's
+    // shared table, or the band's own table through the codec cache.
+    let (block, codec) = if header.framing.shared {
+        let codec = codec.ok_or_else(|| {
+            SzError::Corrupt("archive needs its container's shared huffman table".into())
+        })?;
+        (
+            szr_huffman::parse_shared_block(huffman_block)
+                .map_err(|e| in_section("table", e.into()))?,
+            codec,
+        )
+    } else {
+        let block =
+            szr_huffman::parse_block(huffman_block).map_err(|e| in_section("table", e.into()))?;
+        let hit = cached_codec.is_some() && table_key.as_slice() == block.table;
+        if !hit {
+            *cached_codec = Some(
+                szr_huffman::codec_for_block(&block).map_err(|e| in_section("table", e.into()))?,
+            );
+            table_key.clear();
+            table_key.extend_from_slice(block.table);
+        }
+        if let Some(sink) = sink {
+            sink.counter(
+                if hit {
+                    Counter::CodecTableCacheHit
+                } else {
+                    Counter::CodecTableCacheMiss
+                },
+                1,
+            );
+        }
+        (block, cached_codec.as_ref().expect("just cached"))
+    };
+    if block.count != total {
+        return Err(SzError::Corrupt(format!(
+            "payload: code stream has {} entries for {} points",
+            block.count, total
+        )));
+    }
     // Decorrelation dithers every reconstruction at its flat index, which
     // the fused decoder's batched offsets do not; it decodes staged, like
-    // the oracle path.
-    if !header.decorrelate && !staged {
-        let (block, codec) = if header.framing.shared {
-            let codec = codec.ok_or_else(|| {
-                SzError::Corrupt("archive needs its container's shared huffman table".into())
-            })?;
-            (
-                szr_huffman::parse_shared_block(huffman_block)
-                    .map_err(|e| in_section("table", e.into()))?,
-                codec,
-            )
-        } else {
-            let block = szr_huffman::parse_block(huffman_block)
-                .map_err(|e| in_section("table", e.into()))?;
-            let hit = cached_codec.is_some() && table_key.as_slice() == block.table;
-            if !hit {
-                *cached_codec = Some(
-                    szr_huffman::codec_for_block(&block)
-                        .map_err(|e| in_section("table", e.into()))?,
-                );
-                table_key.clear();
-                table_key.extend_from_slice(block.table);
-            }
-            if let Some(sink) = sink {
-                sink.counter(
-                    if hit {
-                        Counter::CodecTableCacheHit
-                    } else {
-                        Counter::CodecTableCacheMiss
-                    },
-                    1,
-                );
-            }
-            (block, cached_codec.as_ref().expect("just cached"))
-        };
-        if block.count != total {
-            return Err(SzError::Corrupt(format!(
-                "payload: code stream has {} entries for {} points",
-                block.count, total
-            )));
-        }
+    // the oracle path. Both branches report the same two decode stages.
+    let (decode_nanos, recon_nanos) = if !header.decorrelate && !staged {
         let mut visitor = FusedRowDecoder {
             decoder: codec.stream_decoder(block.payload, total),
             alphabet,
@@ -874,52 +876,42 @@ fn decompress_parsed<T: ScalarFloat>(
             recon_nanos: 0,
         };
         kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
-        if let Some(sink) = sink {
-            sink.span(
-                Stage::SymbolDecode,
-                visitor.decode_nanos,
-                huffman_block.len() as u64,
-            );
-            sink.span(
-                Stage::RowReconstruct,
-                visitor.recon_nanos,
-                std::mem::size_of_val(recon.as_slice()) as u64,
-            );
-            sink.simd_path(crate::simd::level_name());
-        }
-        return Ok(Tensor::from_vec(header.shape, recon));
-    }
-
-    if header.framing.shared {
-        let codec = codec.ok_or_else(|| {
-            SzError::Corrupt("archive needs its container's shared huffman table".into())
-        })?;
-        szr_huffman::decompress_u32_with_codec_into(huffman_block, codec, codes)
-            .map_err(|e| in_section("table", e.into()))?;
+        (visitor.decode_nanos, visitor.recon_nanos)
     } else {
-        szr_huffman::decompress_u32_into(huffman_block, codes)
-            .map_err(|e| in_section("table", e.into()))?;
-    }
-    let codes: &[u32] = codes;
-    if codes.len() != total {
-        return Err(SzError::Corrupt(format!(
-            "payload: code stream has {} entries for {} points",
-            codes.len(),
-            total
-        )));
-    }
-    // Row-granular reconstruction through the fallible row scan, which
-    // aborts at the first corrupt symbol instead of decoding the full grid.
-    let mut visitor = RowDecoder {
-        codes,
-        alphabet,
-        quantizer,
-        unpred,
-        bits: unpred_bits,
-        dither: header.decorrelate.then_some(header.eb),
+        let (decoded, decode_nanos) = timed(tele, || {
+            codec.decode_all_into(&mut BitReader::new(block.payload), total, codes)
+        });
+        decoded.map_err(|e| in_section("table", e.into()))?;
+        // Row-granular reconstruction through the fallible row scan, which
+        // aborts at the first corrupt symbol instead of decoding the full
+        // grid.
+        let mut visitor = RowDecoder {
+            codes,
+            alphabet,
+            quantizer,
+            unpred,
+            bits: unpred_bits,
+            dither: header.decorrelate.then_some(header.eb),
+        };
+        let (scanned, recon_nanos) = timed(tele, || {
+            kernel.scan_rows(&header.shape, &mut recon, &mut visitor)
+        });
+        scanned?;
+        (decode_nanos, recon_nanos)
     };
-    kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
-
+    if let Some(sink) = sink {
+        sink.span(
+            Stage::SymbolDecode,
+            decode_nanos,
+            huffman_block.len() as u64,
+        );
+        sink.span(
+            Stage::RowReconstruct,
+            recon_nanos,
+            std::mem::size_of_val(recon.as_slice()) as u64,
+        );
+        sink.simd_path(crate::simd::level_name());
+    }
     Ok(Tensor::from_vec(header.shape, recon))
 }
 

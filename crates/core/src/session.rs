@@ -43,9 +43,9 @@
 //! [`crate::decompress`] reads them.
 
 use crate::compress::{
-    encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into, quantize_validated_impl,
-    report_deflate, resolve_band_params, resolve_range_eb, write_band_header, BandMeta,
-    CompressionStats, EncodeExtra, EntropyScratch, Framing, HuffmanTable, QuantBufs, QuantizedBand,
+    encode_codes, encode_quantized_sink, quantize_into, quantize_validated_impl,
+    resolve_band_params, resolve_range_eb, write_band_archive, BandMeta, CompressionStats,
+    EncodeExtra, EntropyScratch, HuffmanBlock, HuffmanTable, QuantBufs, QuantizedBand,
 };
 use crate::config::Config;
 use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
@@ -96,13 +96,11 @@ pub struct CodecSession<T: ScalarFloat> {
     /// Per-band code histogram scratch (occupied range), reused across
     /// staged encodes.
     freqs: Vec<u64>,
-    /// Fused-path Huffman bit stream.
-    code_bits: BitWriter,
-    /// Payload staging for the fused writer's DEFLATE pass.
-    payload: ByteWriter,
-    /// Entropy-stage scratch: the session-resident DEFLATE encoder (post
-    /// pass + escape-LZ trials reuse its matcher state and output buffer)
-    /// and the escape-LZ staging buffer.
+    /// Entropy-stage scratch every encode path writes through: the band's
+    /// Huffman code stream (staged or fused) and table, and the band
+    /// writer's session-resident DEFLATE encoder (post-pass and escape-LZ
+    /// trials reuse its matcher state and output buffer), escape-LZ and
+    /// post-pass payload staging.
     entropy: EntropyScratch,
     reuse: Option<ReusedTable>,
     /// Decode-side scratch: fused row buffers, the staged/oracle symbol
@@ -205,8 +203,6 @@ impl<T: ScalarFloat> CodecSession<T> {
             recon: Vec::new(),
             bufs: QuantBufs::default(),
             freqs: Vec::new(),
-            code_bits: BitWriter::new(),
-            payload: ByteWriter::new(),
             entropy: EntropyScratch::default(),
             reuse: None,
             decode: DecodeScratch::default(),
@@ -439,17 +435,16 @@ impl<T: ScalarFloat> CodecSession<T> {
             });
             (meta?, nanos)
         };
-        // Histogram over the occupied range — exactly what `compress_u32`
-        // would count, but into the session's reusable scratch.
+        // Histogram over the occupied range into the session's reusable
+        // scratch: the band's own table is built from it.
         crate::compress::occupied_histogram(&self.bufs.codes, &mut self.freqs);
-        let unpred = self.bufs.unpred.finish();
-        let (bytes, stats, extra) = encode_parts(
+        let (bytes, stats, extra) = encode_codes(
             &meta,
             shape.dims(),
             &self.bufs.codes,
-            unpred,
-            Some(&self.freqs),
+            self.bufs.unpred.finish(),
             HuffmanTable::PerBand,
+            &self.freqs,
             &mut self.entropy,
             sink.as_deref(),
         );
@@ -485,8 +480,8 @@ impl<T: ScalarFloat> CodecSession<T> {
         szr_huffman::write_lengths(&mut rle, codec.lengths());
         // Smoothed code lengths can exceed the band-optimal ones slightly;
         // double the staged block bounds any realistic drift.
-        self.code_bits.clear();
-        self.code_bits.reserve(2 * staged_block + 64);
+        self.entropy.code_bits.clear();
+        self.entropy.code_bits.reserve(2 * staged_block + 64);
         let total: u64 = self.freqs.iter().sum();
         self.reuse = Some(ReusedTable {
             used: codec.lengths().len() as u64,
@@ -512,91 +507,31 @@ impl<T: ScalarFloat> CodecSession<T> {
         shape: &Shape,
         config: &Config,
     ) -> Result<Option<(Vec<u8>, CompressionStats)>> {
-        let sink = self.active_sink();
-        let tele = sink.is_some();
-        let ki = self.kernel_index(config.layers, shape);
+        let reuse = self.reuse.take().expect("fused path requires a table");
         // The table pins its interval bits: the code distribution stays
         // aligned with its symbol range and the §IV-B sampler is skipped
         // while it lives (the escape watchdog below restores adaptivity).
-        let (range, eb) = resolve_range_eb(values, shape, config, &self.kernels[ki])?;
-        let reuse = self.reuse.as_ref().expect("fused path requires a table");
+        let band = self.compress_fused(
+            values,
+            shape,
+            config,
+            &reuse.codec,
+            Some((&reuse.table_rle, reuse.used)),
+            |kernel| {
+                resolve_range_eb(values, shape, config, kernel)
+                    .map(|(range, eb)| (range, eb, reuse.bits))
+            },
+        );
         let seed_escape_rate = reuse.escape_rate;
-        let (scan, scan_nanos) = {
-            let kernel = &mut self.kernels[ki];
-            let bufs = &mut self.bufs;
-            let recon = &mut self.recon;
-            let code_bits = &mut self.code_bits;
-            timed(tele, || {
-                run_fused_scan(
-                    kernel,
-                    values,
-                    shape,
-                    config,
-                    eb,
-                    range,
-                    reuse.bits,
-                    &reuse.codec,
-                    bufs,
-                    recon,
-                    code_bits,
-                )
-            })
-        };
-        let Some((meta, demoted)) = scan else {
+        self.reuse = Some(reuse);
+        let sink = self.active_sink();
+        let Some((bytes, stats, demoted)) = band? else {
             // The staged fallback the caller now runs rebuilds the table.
             if let Some(sink) = sink.as_deref() {
                 sink.counter(Counter::FusedTableReseeds, 1);
             }
             return Ok(None);
         };
-        let code_bytes = self.code_bits.finish();
-        let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats, deflate_nanos), write_nanos) = {
-            let payload = &mut self.payload;
-            let entropy = &mut self.entropy;
-            let sink_ref = sink.as_deref();
-            timed(tele, || {
-                write_fused_archive(
-                    &meta,
-                    shape.dims(),
-                    false,
-                    Some((&reuse.table_rle, reuse.used)),
-                    values.len() as u64,
-                    code_bytes,
-                    unpred_bytes,
-                    payload,
-                    entropy,
-                    sink_ref,
-                )
-            })
-        };
-        if let Some(sink) = sink.as_deref() {
-            sink.span(
-                Stage::PredictQuantize,
-                scan_nanos,
-                std::mem::size_of_val(values) as u64,
-            );
-            // The escape-LZ trial and the post-pass report their own
-            // `Deflate` spans.
-            sink.span(
-                Stage::EntropyEncode,
-                write_nanos.saturating_sub(deflate_nanos),
-                stats.huffman_bytes as u64,
-            );
-            sink.counter(Counter::FusedDemotions, demoted as u64);
-            sink.simd_path(crate::simd::level_name());
-            let mut extra = EncodeExtra::from_lengths(reuse.codec.lengths());
-            extra.code_stream_bits = (code_bytes.len() as u64) * 8;
-            extra.table_bytes = (reuse.table_rle.len() + ByteWriter::varint_len(reuse.used)) as u64;
-            emit_band(
-                sink,
-                self.band_index,
-                &stats,
-                Some(&extra),
-                self.planned_bits_per_value,
-            );
-        }
-        self.band_index += 1;
         // Drift watchdog: reseed (next band staged, fresh table and a fresh
         // adaptive bits choice) when demotions cost real escape bits, or
         // when the band escaped far more often than the seed band did —
@@ -604,7 +539,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         // budget is generous (4× the seed's rate, floor ~0.8%): an escape
         // costs 15–30 bits, so sub-percent drift is cheaper to ride out
         // than a staged rebuild.
-        let escapes = values.len() - meta.predictable;
+        let escapes = values.len() - stats.predictable;
         let escape_budget =
             ((4.0 * seed_escape_rate).max(1.0 / 128.0) * values.len() as f64) as usize;
         if demoted > values.len() >> RESEED_SHIFT || escapes > escape_budget + 8 {
@@ -636,50 +571,55 @@ impl<T: ScalarFloat> CodecSession<T> {
             return Ok(None);
         }
         let sink = self.active_sink();
+        let band = self.compress_fused(values, shape, &config, codec, None, |kernel| {
+            resolve_band_params(values, shape, &config, kernel, sink.as_deref())
+        })?;
+        Ok(band.map(|(bytes, stats, _)| (bytes, stats)))
+    }
+
+    /// The body both fused entry points share: resolves `(range, eb, bits)`
+    /// through the cached kernel, scans `values` under `codec`, writes the
+    /// archive — embedding `table` (`(RLE lengths, alphabet)`), or
+    /// shared-stream framing without one — and reports the band's spans and
+    /// record. Returns the archive, its stats and the demotion count, or
+    /// `None` when the scan aborted on a [`TableMiss`].
+    fn compress_fused(
+        &mut self,
+        values: &[T],
+        shape: &Shape,
+        config: &Config,
+        codec: &HuffmanCodec,
+        table: Option<(&[u8], u64)>,
+        resolve: impl FnOnce(&mut ScanKernel) -> Result<(f64, f64, u32)>,
+    ) -> Result<Option<(Vec<u8>, CompressionStats, usize)>> {
+        let sink = self.active_sink();
         let tele = sink.is_some();
         let ki = self.kernel_index(config.layers, shape);
-        let (range, eb, bits) = resolve_band_params(
-            values,
-            shape,
-            &config,
-            &mut self.kernels[ki],
-            sink.as_deref(),
-        )?;
+        let (range, eb, bits) = resolve(&mut self.kernels[ki])?;
         let (scan, scan_nanos) = {
             let kernel = &mut self.kernels[ki];
             let bufs = &mut self.bufs;
             let recon = &mut self.recon;
-            let code_bits = &mut self.code_bits;
+            let code_bits = &mut self.entropy.code_bits;
             timed(tele, || {
                 run_fused_scan(
-                    kernel, values, shape, &config, eb, range, bits, codec, bufs, recon, code_bits,
+                    kernel, values, shape, config, eb, range, bits, codec, bufs, recon, code_bits,
                 )
             })
         };
         let Some((meta, demoted)) = scan else {
             return Ok(None);
         };
-        let code_bytes = self.code_bits.finish();
-        let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats, deflate_nanos), write_nanos) = {
-            let payload = &mut self.payload;
-            let entropy = &mut self.entropy;
-            let sink_ref = sink.as_deref();
-            timed(tele, || {
-                write_fused_archive(
-                    &meta,
-                    shape.dims(),
-                    true,
-                    None,
-                    values.len() as u64,
-                    code_bytes,
-                    unpred_bytes,
-                    payload,
-                    entropy,
-                    sink_ref,
-                )
-            })
+        let block = HuffmanBlock {
+            table,
+            count: values.len() as u64,
+            codes: self.entropy.code_bits.finish(),
         };
+        let unpred = self.bufs.unpred.finish();
+        let writer = &mut self.entropy.writer;
+        let ((bytes, stats, times), write_nanos) = timed(tele, || {
+            write_band_archive(&meta, shape.dims(), block, unpred, writer, sink.as_deref())
+        });
         if let Some(sink) = sink.as_deref() {
             sink.span(
                 Stage::PredictQuantize,
@@ -690,23 +630,21 @@ impl<T: ScalarFloat> CodecSession<T> {
             // `Deflate` spans.
             sink.span(
                 Stage::EntropyEncode,
-                write_nanos.saturating_sub(deflate_nanos),
+                write_nanos.saturating_sub(times.deflate_nanos),
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
             sink.simd_path(crate::simd::level_name());
-            let mut extra = EncodeExtra::from_lengths(codec.lengths());
-            extra.code_stream_bits = (code_bytes.len() as u64) * 8;
             emit_band(
                 sink,
                 self.band_index,
                 &stats,
-                Some(&extra),
+                Some(&EncodeExtra::new(codec.lengths(), block)),
                 self.planned_bits_per_value,
             );
         }
         self.band_index += 1;
-        Ok(Some((bytes, stats)))
+        Ok(Some((bytes, stats, demoted)))
     }
 
     /// The predict→quantize half only, as an owned [`QuantizedBand`] for
@@ -981,102 +919,6 @@ impl<T: ScalarFloat> RowVisitor<T> for FusedRowQuantizer<'_, T> {
         self.misses.clear();
         Ok(())
     }
-}
-
-/// Assembles a band archive from fused-encoded parts, byte-compatible with
-/// [`encode_parts`]' layout: for self-contained archives the Huffman block
-/// is `used · count · RLE-lengths · code bits`, for shared-stream archives
-/// just `count · code bits`. The section is length-prefixed arithmetically,
-/// so nothing is staged unless the DEFLATE pass needs a contiguous payload.
-/// `meta.escape_lz` arms the same sampled escape trial as the staged
-/// writer; the trailer's payload CRC stays over the raw escape bytes.
-/// Also returns the nanoseconds spent in DEFLATE (trial plus post-pass,
-/// each reported to `sink` as a [`Stage::Deflate`] span), which the caller
-/// keeps out of its entropy-encode span.
-#[allow(clippy::too_many_arguments)]
-fn write_fused_archive(
-    meta: &BandMeta,
-    dims: &[usize],
-    shared: bool,
-    table: Option<(&[u8], u64)>,
-    count: u64,
-    code_bytes: &[u8],
-    unpred_bytes: &[u8],
-    payload_scratch: &mut ByteWriter,
-    entropy: &mut EntropyScratch,
-    sink: Option<&dyn TelemetrySink>,
-) -> (Vec<u8>, CompressionStats, u64) {
-    let tele = sink.is_some();
-    let (esc_commit, trial_nanos) = timed(tele, || {
-        meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink)
-    });
-    let framing = Framing::written(shared, esc_commit);
-    let EntropyScratch { deflater, escape } = entropy;
-    let escape_section: &[u8] = if esc_commit { escape } else { unpred_bytes };
-    let table_len = table.map_or(0, |(rle, used)| ByteWriter::varint_len(used) + rle.len());
-    let block_len = table_len + ByteWriter::varint_len(count) + code_bytes.len();
-    // Writes the payload sections and returns the v3 section CRCs, hashed
-    // in place over the bytes just written — no staging copy, so the fused
-    // path's 1-alloc steady state survives the checksummed framing. The
-    // payload CRC covers the raw escape stream even when the section is
-    // stored deflated, so decode verifies the inflation end to end.
-    let write_payload = |w: &mut ByteWriter| -> (u32, u32) {
-        w.write_varint(block_len as u64);
-        let block_start = w.len();
-        if let Some((_, used)) = table {
-            w.write_varint(used);
-        }
-        w.write_varint(count);
-        if let Some((rle, _)) = table {
-            w.write_bytes(rle);
-        }
-        w.write_bytes(code_bytes);
-        let table_crc = szr_deflate::crc32(&w.as_bytes()[block_start..]);
-        w.write_len_prefixed(escape_section);
-        (table_crc, szr_deflate::crc32(unpred_bytes))
-    };
-
-    let mut out =
-        ByteWriter::with_capacity(64 + 10 * dims.len() + block_len + escape_section.len() + 24);
-    write_band_header(&mut out, framing, meta, dims);
-    let mut deflate_nanos = trial_nanos;
-    let (table_crc, payload_crc) = if meta.lossless_pass {
-        payload_scratch.clear();
-        let crcs = write_payload(payload_scratch);
-        let (deflated, nanos) = timed(tele, || deflater.compress(payload_scratch.as_bytes()));
-        if deflated.len() < payload_scratch.len() {
-            out.write_u8(1);
-            out.write_len_prefixed(deflated);
-        } else {
-            out.write_u8(0);
-            out.write_bytes(payload_scratch.as_bytes());
-        }
-        if let Some(sink) = sink {
-            sink.span(Stage::Deflate, nanos, deflated.len() as u64);
-            report_deflate(sink, deflater.stats());
-        }
-        deflate_nanos += nanos;
-        crcs
-    } else {
-        out.write_u8(0);
-        write_payload(&mut out)
-    };
-    out.write_u32(table_crc);
-    out.write_u32(payload_crc);
-    let bytes = out.into_bytes();
-
-    let stats = CompressionStats {
-        total: count as usize,
-        predictable: meta.predictable,
-        eb_abs: meta.eb,
-        range: meta.range,
-        interval_bits: meta.interval_bits,
-        layers: meta.layers,
-        compressed_bytes: bytes.len(),
-        huffman_bytes: block_len,
-        unpredictable_bytes: unpred_bytes.len(),
-    };
-    (bytes, stats, deflate_nanos)
 }
 
 #[cfg(test)]

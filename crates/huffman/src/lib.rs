@@ -60,36 +60,17 @@ pub fn compress_u32(symbols: &[u32], alphabet: usize) -> Vec<u8> {
     for &s in symbols {
         freqs[s as usize] += 1;
     }
-    compress_u32_from_hist(symbols, &freqs)
-}
-
-/// [`compress_u32`] for a caller that already holds the symbol histogram —
-/// skips the counting pass. `freqs` must cover exactly the occupied range
-/// `0..=max_symbol` (what [`compress_u32`] itself histograms, and what a
-/// quantized band's cached histogram holds); the output is byte-identical
-/// to [`compress_u32`]'s.
-///
-/// # Panics
-/// Panics (debug) if `freqs` disagrees with `symbols`.
-pub fn compress_u32_from_hist(symbols: &[u32], freqs: &[u64]) -> Vec<u8> {
-    debug_assert_eq!(
-        freqs.iter().sum::<u64>(),
-        symbols.len() as u64,
-        "histogram does not match symbol stream"
-    );
-    let used = freqs.len();
-    let codec = HuffmanCodec::from_frequencies(freqs);
+    let codec = HuffmanCodec::from_frequencies(&freqs);
     let mut header = ByteWriter::new();
     header.write_varint(used as u64);
     header.write_varint(symbols.len() as u64);
     write_lengths(&mut header, codec.lengths());
     // The bit writer's capacity is exact: the codec already knows the
     // payload length for these frequencies.
-    let mut bits = BitWriter::with_capacity((codec.payload_bits(freqs) as usize).div_ceil(8));
+    let mut bits = BitWriter::with_capacity((codec.payload_bits(&freqs) as usize).div_ceil(8));
     codec.encode_all(symbols, &mut bits);
     let mut out = header.into_bytes();
-    let payload = bits.into_bytes();
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&bits.into_bytes());
     out
 }
 

@@ -9,7 +9,9 @@
 //! behind it. Admission is bounded: at most `queue_jobs` jobs are in flight,
 //! and the configured [`Backpressure`] policy decides whether an over-limit
 //! submit blocks or is rejected (counted, and surfaced through the
-//! service's telemetry sink as `rejected_jobs`).
+//! service's telemetry sink as `rejected_jobs`). A job gives its slot back
+//! when its last band finishes, before its handle is fulfilled, so a
+//! client that resubmits as soon as `wait()` returns is always admitted.
 //!
 //! Decompress-side jobs operate on *serialized* archives through the
 //! [`BandIndex`], so a region read seeks straight to the covered bands.
@@ -49,7 +51,7 @@ pub enum Backpressure {
 pub struct ServiceConfig {
     /// Worker threads (and pooled sessions). At least one.
     pub workers: usize,
-    /// Maximum jobs in flight (admitted, not yet completed). Zero is only
+    /// Maximum jobs in flight (admitted, bands not all finished). Zero is only
     /// meaningful with [`Backpressure::Reject`] (every submit rejects —
     /// the deterministic backpressure test fixture); with `Block` it would
     /// deadlock every submitter, so construction refuses it.
@@ -528,12 +530,12 @@ fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
     *job.slots[task.slot].lock().unwrap() = Some(result);
     shared.bands_executed.fetch_add(1, Ordering::Relaxed);
     if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        // A finished job frees its admission slot before its handle is
+        // fulfilled, so a client resubmitting as soon as `wait()` returns
+        // finds room; then wake blocked submitters (and idle workers,
+        // harmlessly).
+        shared.state.lock().unwrap().active_jobs -= 1;
         finalize(shared, job);
-        // A finished job frees an admission slot; wake blocked submitters
-        // (and idle workers, harmlessly).
-        let mut state = shared.state.lock().unwrap();
-        state.active_jobs -= 1;
-        drop(state);
         shared.cond.notify_all();
     }
 }

@@ -300,3 +300,142 @@ fn decorrelated_archives_decode_to_pinned_bits() {
     let via_session = session.decompress(DECORRELATED_F64).unwrap();
     assert_eq!(fnv1a_bits(&via_session), DECORRELATED_F64_BITS);
 }
+
+fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+fn widen(data: &Tensor<f32>) -> Tensor<f64> {
+    Tensor::from_vec(
+        data.dims(),
+        data.as_slice().iter().map(|&v| v as f64).collect(),
+    )
+}
+
+/// One FNV-1a hash over the band archives four encode paths write for
+/// `data` under `config`: the free function, the second (fused) band of a
+/// table-reuse session, a staged shared-table band, and a fused chunked
+/// container.
+fn band_archive_hash<T: szr::ScalarFloat + Send + Sync>(data: &Tensor<T>, config: &Config) -> u64 {
+    use szr::{
+        encode_quantized, quantize_slice_with_kernel, CodecSession, HuffmanTable, ScanKernel,
+    };
+    let (free, _) = szr::compress_with_stats(data, config).unwrap();
+    let mut session = CodecSession::<T>::new(*config).unwrap();
+    session.set_table_reuse(true);
+    session.compress(data).unwrap();
+    let fused = session.compress(data).unwrap();
+    let mut kernel = ScanKernel::for_shape(config.layers, data.shape());
+    let band =
+        quantize_slice_with_kernel(data.as_slice(), data.shape(), config, &mut kernel).unwrap();
+    let codec = szr::huffman::HuffmanCodec::from_frequencies(band.histogram());
+    let (shared, _) = encode_quantized(&band, HuffmanTable::Shared(&codec));
+    let chunked = szr::parallel::compress_chunked_fused(data, config, 4, 2)
+        .unwrap()
+        .to_bytes();
+    [free, fused, shared, chunked]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, bytes| {
+            fnv1a_bytes(fnv1a_bytes(h, &(bytes.len() as u64).to_le_bytes()), bytes)
+        })
+}
+
+/// The pin configurations: rel 1e-4 with and without the DEFLATE
+/// post-pass, and rel 1e-3 at 6 fixed interval bits with escape-LZ.
+fn pin_configs() -> [Config; 3] {
+    [
+        Config::new(ErrorBound::Relative(1e-4)),
+        Config::new(ErrorBound::Relative(1e-4)).without_lossless_pass(),
+        Config::new(ErrorBound::Relative(1e-3))
+            .with_interval_bits(6)
+            .with_escape_lz(),
+    ]
+}
+
+/// Archive hashes written by an earlier build, one per (field, dtype,
+/// config) in `band_archives_match_pinned_hashes`' loop order. Any change
+/// to the band layout, the band writer, the staged or fused encode paths
+/// or the chunked container moves them. The escape-LZ config commits v5/v6
+/// framing on two of the cases.
+const BAND_ARCHIVE_HASHES: [u64; 24] = [
+    0x47a1462622613766,
+    0xeb835a430dbde9dc,
+    0x6c2c7527dff4bbd2,
+    0xf5a311102e499d7c,
+    0x348eec067d373212,
+    0xe3c5eb4adc9f73ab,
+    0xba66f85f22f86562,
+    0xfbd910d835a86765,
+    0x42e81bcd1e05fab5,
+    0x03f58b19c48059ee,
+    0xa830eb57c5023d0d,
+    0xdd543840f9686867,
+    0xd7856469f5afab1c,
+    0xbf868dc50c9d6593,
+    0x115f56b4fcf6cf03,
+    0x9ad5e04161a33fa5,
+    0xfda8fc13e579d762,
+    0xb94c064304c4e866,
+    0x3763fe5ad29f380a,
+    0xa9a9ba458fe14957,
+    0xbe6ce7ddd0e8afb2,
+    0xb189519a3e40b520,
+    0x4c1ae94bb9837e6b,
+    0x27eca29976ced5f6,
+];
+
+#[test]
+fn band_archives_match_pinned_hashes() {
+    let fields = all_small_fields();
+    let mut hashes = Vec::new();
+    for i in [0usize, 3, 4, 6] {
+        let (_, data) = &fields[i];
+        let wide = widen(data);
+        for config in pin_configs() {
+            hashes.push(band_archive_hash(data, &config));
+            hashes.push(band_archive_hash(&wide, &config));
+        }
+    }
+    let hex: Vec<String> = hashes.iter().map(|h| format!("{h:#018x}")).collect();
+    assert_eq!(hashes, BAND_ARCHIVE_HASHES, "now: [{}]", hex.join(", "));
+}
+
+fn shared_writers_agree<T: szr::ScalarFloat>(name: &str, data: &Tensor<T>, config: &Config) {
+    use szr::{
+        encode_quantized, quantize_slice_with_kernel, CodecSession, HuffmanTable, ScanKernel,
+    };
+    use szr_core::covering_codec;
+    let (values, shape) = (data.as_slice(), data.shape());
+    let mut kernel = ScanKernel::for_shape(config.layers, shape);
+    let band = quantize_slice_with_kernel(values, shape, config, &mut kernel).unwrap();
+    let codec = covering_codec(band.histogram());
+    let staged = encode_quantized(&band, HuffmanTable::Shared(&codec));
+    let mut session = CodecSession::<T>::new(*config).unwrap();
+    let fused = session
+        .compress_slice_shared_fused(values, shape, &codec)
+        .unwrap()
+        .expect("a covering table never aborts the fused scan");
+    assert_eq!(staged, fused, "{name}");
+}
+
+#[test]
+fn staged_and_fused_shared_writers_agree() {
+    // A shared table that covers the band's whole symbol range leaves the
+    // fused scan nothing to demote, so the staged shared-table encode and
+    // the fused shared-table scan must write the same archive and stats.
+    for (name, data) in all_small_fields() {
+        let range = value_range(data.as_slice());
+        let wide = widen(&data);
+        for (eb_rel, bits) in [(1e-4, 8), (1e-3, 6)] {
+            let base = Config::new(ErrorBound::Absolute(eb_rel * range)).with_interval_bits(bits);
+            for config in [base, base.without_lossless_pass(), base.with_escape_lz()] {
+                shared_writers_agree(&name, &data, &config);
+                shared_writers_agree(&name, &wide, &config);
+            }
+        }
+    }
+}

@@ -374,3 +374,29 @@ fn every_compress_job_runs_at_its_own_config_on_a_reused_session() {
         "max error {max_err} exceeds the 1e-4 bound"
     );
 }
+
+#[test]
+fn a_finished_job_frees_its_admission_slot_before_wait_returns() {
+    // A finished job gives back its admission slot before its handle is
+    // fulfilled, so a client that resubmits as soon as `wait()` returns
+    // always finds room: with a one-job queue under Reject, no submit in
+    // this closed loop may bounce.
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 1,
+        queue_jobs: 1,
+        backpressure: Backpressure::Reject,
+        session_config: config(),
+    })
+    .unwrap();
+    let data = Arc::new(Tensor::from_fn([16, 16], |ix| {
+        (ix[0] * 16 + ix[1]) as f32 * 0.01
+    }));
+    for cycle in 0..300 {
+        let handle = svc
+            .submit_compress(Arc::clone(&data), config(), 1, None)
+            .unwrap_or_else(|e| panic!("cycle {cycle}: submit failed: {e:?}"));
+        handle.wait().unwrap();
+    }
+    assert_eq!(svc.stats().rejected, 0);
+    assert_eq!(svc.stats().completed, 300);
+}

@@ -27,6 +27,10 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of at least `LARGE_ALLOC_MIN` bytes (none counted while
+    /// it is `usize::MAX`).
+    static LARGE_ALLOC_MIN: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record(size: usize) {
@@ -36,6 +40,9 @@ fn record(size: usize) {
         if c.get() {
             ALLOCS.with(|a| a.set(a.get() + 1));
             ALLOC_BYTES.with(|b| b.set(b.get() + size as u64));
+            if size >= LARGE_ALLOC_MIN.with(|m| m.get()) {
+                LARGE_ALLOCS.with(|a| a.set(a.get() + 1));
+            }
         }
     });
 }
@@ -69,6 +76,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     ALLOCS.with(|a| a.set(0));
     ALLOC_BYTES.with(|b| b.set(0));
+    LARGE_ALLOCS.with(|a| a.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
@@ -258,7 +266,7 @@ fn steady_state_decompress_with_noop_sink_keeps_the_allocation_pin() {
 #[test]
 fn steady_state_staged_session_reuses_all_large_buffers() {
     // The staged (default) path still allocates entropy-stage transients
-    // (codec build, Huffman block), but the big per-point buffers — codes,
+    // (the per-band codec build), but the big per-point buffers — codes,
     // reconstruction, escape bits — must be reused: total steady-state
     // allocation bytes stay far below one point-proportional buffer.
     let data = Tensor::from_fn([96, 128], |ix| {
@@ -337,4 +345,32 @@ fn warm_scan_rows_is_allocation_free() {
         v.acc
     });
     assert_eq!((a, b), (0, 0), "warm scan_rows allocated {a} times ({b} B)");
+}
+
+#[test]
+fn warm_staged_compress_allocates_one_block_sized_buffer() {
+    // The staged path Huffman-codes into session scratch and the one band
+    // writer frames that block straight into the archive, so once warm the
+    // archive is the only allocation at least as large as the block.
+    let data = Tensor::from_fn([96, 128], |ix| {
+        ((ix[0] as f32) * 0.07).sin() * 12.0 + ((ix[1] as f32) * 0.05).cos() * 3.0
+    });
+    let config = Config::new(ErrorBound::Absolute(1e-3)).with_interval_bits(8);
+    let mut session = CodecSession::<f32>::new(config).unwrap();
+    let (_, cold) = session.compress_with_stats(&data).unwrap();
+
+    LARGE_ALLOC_MIN.with(|m| m.set(cold.huffman_bytes));
+    let (allocs, _, (warm, stats)) = count_allocs(|| session.compress_with_stats(&data).unwrap());
+    LARGE_ALLOC_MIN.with(|m| m.set(usize::MAX));
+    let large = LARGE_ALLOCS.with(|a| a.get());
+    assert_eq!(stats, cold);
+    assert_eq!(
+        large,
+        1,
+        "warm staged compress made {large} allocations of at least the \
+         {}-byte Huffman block ({allocs} in all); only the {}-byte archive \
+         should be that large",
+        stats.huffman_bytes,
+        warm.len()
+    );
 }

@@ -236,3 +236,35 @@ fn fused_band_spans_deflate_once_and_fit_in_wall_time() {
     let stages: u64 = report.spans.iter().map(|(_, s)| s.nanos).sum();
     assert!(stages <= wall, "stages {stages} ns > wall {wall} ns");
 }
+
+/// A decorrelated archive decodes on the staged branch (the fused decoder
+/// does not replay the dither); it reports the same two decode stages as
+/// the fused branch, once each, and they fit inside the call's wall time.
+#[test]
+fn decorrelated_decode_spans_symbol_decode_and_row_reconstruct() {
+    use szr::telemetry::Stage;
+    let data = Tensor::from_fn([64, 96], |ix| {
+        ((ix[0] as f32) * 0.07).sin() * 5.0 + ((ix[1] as f32) * 0.11).cos()
+    });
+    let config = Config::new(ErrorBound::Absolute(1e-3)).with_decorrelation();
+    let archive = szr::compress(&data, &config).unwrap();
+    let sink = Arc::new(RecordingSink::new());
+    let mut session = CodecSession::<f32>::decoder();
+    session.set_telemetry(Some(sink.clone() as Arc<dyn TelemetrySink>));
+
+    let start = std::time::Instant::now();
+    let out = session.decompress(&archive).unwrap();
+    let wall = start.elapsed().as_nanos() as u64;
+    let plain: Tensor<f32> = szr::decompress(&archive).unwrap();
+    assert_eq!(out.as_slice(), plain.as_slice());
+
+    let report = sink.report();
+    for stage in [Stage::SymbolDecode, Stage::RowReconstruct] {
+        let span = report
+            .span(stage)
+            .unwrap_or_else(|| panic!("decorrelated decode recorded no {stage:?} span"));
+        assert_eq!(span.calls, 1, "{stage:?} calls");
+    }
+    let stages: u64 = report.spans.iter().map(|(_, s)| s.nanos).sum();
+    assert!(stages <= wall, "stages {stages} ns > wall {wall} ns");
+}
